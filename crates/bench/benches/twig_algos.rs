@@ -20,6 +20,7 @@ fn setup(nodes_hint: usize) -> (Dict, XmlDocument, TagIndex) {
         tags: ["r", "a", "b", "c"].iter().map(|s| s.to_string()).collect(),
         value_domain: 8,
         seed: 42,
+        ..Default::default()
     };
     let doc = random_document(&mut dict, &cfg);
     let idx = TagIndex::build(&doc);

@@ -24,8 +24,8 @@
 //!
 //! * `ad_filter` — prunes candidates violating a cut A-D edge's value pairs
 //!   as soon as both endpoints are bound;
-//! * `partial_validation` — runs the (memoised) structure check on bound
-//!   prefixes instead of only at the end.
+//! * `partial_validation` — runs the same label-driven structure check on
+//!   bound prefixes instead of only at the end.
 
 use crate::atoms::{collect_atoms, Atoms};
 use crate::error::Result;
@@ -72,9 +72,6 @@ pub fn xjoin(
     let start = Instant::now();
     let atoms = collect_atoms(ctx, query)?;
     let order = compute_order(&atoms, &cfg.order)?;
-    // Output attributes are checked here, before any trie is built, so a
-    // typo'd projection fails fast instead of after the whole join.
-    validate_output(query, &order)?;
     let refs = atoms.rel_refs();
     let plan = JoinPlan::new(&refs, &order)?;
     let mut out = xjoin_with_plan(ctx, query, cfg, &plan, atoms.sizes(), atoms.first_path_atom)?;
@@ -165,7 +162,6 @@ pub fn xjoin_with_plan_in_range(
     first_path_atom: usize,
     root: &ValueRange,
 ) -> Result<QueryOutput> {
-    validate_output(query, plan.order())?;
     let ad_checks = build_ad_checks(ctx, query, plan.order(), cfg.ad_filter);
     xjoin_with_plan_body(
         ctx,
@@ -181,7 +177,9 @@ pub fn xjoin_with_plan_in_range(
 
 /// The level-wise XJoin body over pre-built A-D checks (see
 /// [`build_ad_checks`]); per-twig validators are constructed per call — they
-/// carry mutable memoisation and cannot be shared across threads.
+/// carry per-check scratch and a work counter and cannot be shared across
+/// threads. The output projection is checked here, once, before any
+/// expansion work.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn xjoin_with_plan_body(
     ctx: &DataContext<'_>,
@@ -224,8 +222,11 @@ pub(crate) fn xjoin_with_plan_body(
         let mut cand: Vec<ValueId> = Vec::with_capacity(order.len());
 
         for (d, vp) in plan.var_plans().iter().enumerate() {
-            let mut next_tuples: Vec<ValueId> = Vec::new();
-            let mut next_ptrs: Vec<u32> = Vec::new();
+            // Sized for one extension per tuple, the steady state of the
+            // later levels: a buffer that doubles its way there holds the
+            // old and the new copy at once, and that sets the op's peak.
+            let mut next_tuples: Vec<ValueId> = Vec::with_capacity(count * (width + 1));
+            let mut next_ptrs: Vec<u32> = Vec::with_capacity(count * natoms);
             let mut next_count = 0usize;
             let mut range_starts: Vec<u32> = Vec::with_capacity(vp.participants.len());
             let mut cursors: Vec<SliceCursor<'_>> = Vec::with_capacity(vp.participants.len());

@@ -10,7 +10,7 @@
 //! [`relational::LftjWalk`]) behind a plain [`Iterator`]:
 //!
 //! * twig-structure validation runs per pulled tuple through the same
-//!   memoised [`TwigValidator`] as the level-wise engine;
+//!   [`TwigValidator`] as the level-wise engine;
 //! * the query's output projection is applied per row (with on-the-fly
 //!   de-duplication when the projection drops variables, preserving the
 //!   materialising engines' set semantics);

@@ -141,6 +141,12 @@ impl Relation {
             self.data.truncate(1);
             return;
         }
+        // Already a sorted set (e.g. a path relation whose leaf values ascend
+        // in document order): nothing to permute or copy.
+        let rows = || self.data.chunks_exact(a);
+        if rows().zip(rows().skip(1)).all(|(x, y)| x < y) {
+            return;
+        }
         let n = self.len();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let data = &self.data;
@@ -364,6 +370,21 @@ mod tests {
         r2.push(&[v(2)]).unwrap();
         r2.push(&[v(1)]).unwrap();
         assert!(r1.set_eq(&r2));
+    }
+
+    #[test]
+    fn sort_dedup_keeps_ascending_input_and_still_merges_equal_neighbours() {
+        let mut r = Relation::new(Schema::of(&["a", "b"]));
+        for row in [[1, 3], [1, 9], [2, 1]] {
+            r.push(&[v(row[0]), v(row[1])]).unwrap();
+        }
+        let before: Vec<Vec<ValueId>> = r.rows().map(|x| x.to_vec()).collect();
+        r.sort_dedup();
+        assert_eq!(r.rows().map(|x| x.to_vec()).collect::<Vec<_>>(), before);
+        // Non-descending is not enough: an equal neighbour must still go.
+        r.push(&[v(2), v(1)]).unwrap();
+        r.sort_dedup();
+        assert_eq!(r.rows().map(|x| x.to_vec()).collect::<Vec<_>>(), before);
     }
 
     #[test]

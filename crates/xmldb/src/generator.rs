@@ -16,6 +16,10 @@ pub struct RandomTreeConfig {
     pub tags: Vec<String>,
     /// Node values are uniform integers in `0..value_domain`.
     pub value_domain: u64,
+    /// Give every node that has children the empty text value, as in
+    /// data-centric XML where only leaves carry text (so all internal
+    /// elements of a tag share one value).
+    pub empty_internal_text: bool,
     /// RNG seed (generation is deterministic per seed).
     pub seed: u64,
 }
@@ -27,6 +31,7 @@ impl Default for RandomTreeConfig {
             max_depth: 5,
             tags: ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect(),
             value_domain: 16,
+            empty_internal_text: false,
             seed: 0,
         }
     }
@@ -50,6 +55,9 @@ pub fn random_document(dict: &mut Dict, cfg: &RandomTreeConfig) -> XmlDocument {
             continue;
         }
         let n_children = rng.gen_range(0..=cfg.max_children);
+        if cfg.empty_internal_text && n_children > 0 {
+            b.set_value(parent, "");
+        }
         for _ in 0..n_children {
             let tag = cfg.tags[rng.gen_range(0..cfg.tags.len())].clone();
             let value = rng.gen_range(0..cfg.value_domain) as i64;
@@ -222,6 +230,23 @@ mod tests {
         let doc = random_document(&mut dict, &cfg);
         for id in doc.node_ids() {
             assert!(doc.node(id).level <= 3);
+        }
+    }
+
+    #[test]
+    fn empty_internal_text_leaves_values_on_leaves_only() {
+        let mut dict = Dict::new();
+        let cfg = RandomTreeConfig {
+            empty_internal_text: true,
+            seed: 1,
+            ..Default::default()
+        };
+        let doc = random_document(&mut dict, &cfg);
+        let empty = dict.lookup(&"".into()).unwrap();
+        assert!(doc.len() > 1);
+        for id in doc.node_ids() {
+            let n = doc.node(id);
+            assert_eq!(n.value == empty, !n.children.is_empty(), "{id}");
         }
     }
 

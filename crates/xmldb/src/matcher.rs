@@ -1,37 +1,38 @@
-//! Navigational twig matching by backtracking search.
+//! Navigational twig matching by backtracking search — the correctness
+//! reference, and nothing else.
 //!
 //! This is the simple, obviously-correct twig matcher: it assigns document
-//! nodes to twig nodes in pattern order, following parent-child edges through
-//! the arena and ancestor-descendant edges through the tag index. It serves
-//! three roles:
+//! nodes to twig nodes in pattern order (root first), following parent-child
+//! edges through the arena and ancestor-descendant edges through the tag
+//! index, and hands every embedding to a visitor. Its cost grows with the
+//! fan-out of every assigned node, which is fine for what it is used for:
 //!
-//! 1. correctness reference for the optimised algorithms (structural joins,
-//!    TwigStack, the transform-based join);
-//! 2. the *final structure validation* step of the paper's Algorithm 1
-//!    ("Filter R by validating structure of Sx") via per-node value
-//!    constraints;
-//! 3. the optional *partial validation* the paper lists as on-going work.
+//! * the test suites compare the optimised algorithms against it
+//!   (structural joins, PathStack, TwigStack, TJFast, the transform-based
+//!   join, and the label-driven structure validator of `xjoin-core`, whose
+//!   differential test enumerates embeddings here and compares node values);
+//! * the XML-first baseline engine materialises all embeddings with it.
+//!
+//! No engine validates result tuples through this module: the paper's
+//! "filter R by validating structure of Sx" is `xjoin_core::TwigValidator`,
+//! which anchors at the rarest `(tag, value)` posting list of the
+//! [`TagIndex`] and confirms edges by region labels instead of searching.
 
 use crate::model::{NodeId, XmlDocument};
 use crate::tag_index::TagIndex;
 use crate::twig::{Axis, TwigPattern};
-use relational::ValueId;
 
-/// Visits every embedding of `twig` into `doc` whose nodes satisfy the
-/// optional per-twig-node `values` constraints (`values[i] = Some(v)` forces
-/// the node bound to twig node `i` to carry value `v`; an empty slice means
-/// no constraints). The visitor receives one document node per twig node, in
-/// twig-node order, and returns `false` to stop the enumeration.
+/// Visits every embedding of `twig` into `doc`. The visitor receives one
+/// document node per twig node, in twig-node order, and returns `false` to
+/// stop the enumeration.
 pub fn for_each_match(
     doc: &XmlDocument,
     index: &TagIndex,
     twig: &TwigPattern,
-    values: &[Option<ValueId>],
     visit: &mut dyn FnMut(&[NodeId]) -> bool,
 ) {
-    debug_assert!(values.is_empty() || values.len() == twig.len());
     let mut assign: Vec<NodeId> = Vec::with_capacity(twig.len());
-    rec(doc, index, twig, values, &mut assign, visit);
+    rec(doc, index, twig, &mut assign, visit);
 }
 
 /// Returns `true` once the enumeration should stop.
@@ -39,7 +40,6 @@ fn rec(
     doc: &XmlDocument,
     index: &TagIndex,
     twig: &TwigPattern,
-    values: &[Option<ValueId>],
     assign: &mut Vec<NodeId>,
     visit: &mut dyn FnMut(&[NodeId]) -> bool,
 ) -> bool {
@@ -48,23 +48,9 @@ fn rec(
         return !visit(assign);
     }
     let tnode = twig.node(i);
-    let required = values.get(i).copied().flatten();
 
     let check = |id: NodeId| -> bool {
-        let n = doc.node(id);
-        if let Some(v) = required {
-            if n.value != v {
-                return false;
-            }
-        }
-        if tnode.tag != "*" {
-            match doc.tags().lookup(&tnode.tag) {
-                Some(t) => n.tag == t,
-                None => false,
-            }
-        } else {
-            true
-        }
+        tnode.tag == "*" || doc.tags().lookup(&tnode.tag) == Some(doc.node(id).tag)
     };
 
     // Enumerate candidates according to the edge to the (already assigned)
@@ -75,7 +61,7 @@ fn rec(
                 for id in doc.node_ids() {
                     if check(id) {
                         assign.push(id);
-                        if rec(doc, index, twig, values, assign, visit) {
+                        if rec(doc, index, twig, assign, visit) {
                             return true;
                         }
                         assign.pop();
@@ -85,7 +71,7 @@ fn rec(
                 for &id in index.nodes_named(doc, &tnode.tag) {
                     if check(id) {
                         assign.push(id);
-                        if rec(doc, index, twig, values, assign, visit) {
+                        if rec(doc, index, twig, assign, visit) {
                             return true;
                         }
                         assign.pop();
@@ -104,7 +90,7 @@ fn rec(
                         let id = doc.node(pnode).children[k];
                         if check(id) {
                             assign.push(id);
-                            if rec(doc, index, twig, values, assign, visit) {
+                            if rec(doc, index, twig, assign, visit) {
                                 return true;
                             }
                             assign.pop();
@@ -117,7 +103,7 @@ fn rec(
                             let id = NodeId(raw);
                             if check(id) {
                                 assign.push(id);
-                                if rec(doc, index, twig, values, assign, visit) {
+                                if rec(doc, index, twig, assign, visit) {
                                     return true;
                                 }
                                 assign.pop();
@@ -132,7 +118,7 @@ fn rec(
                         for &id in index.nodes_in(t, lo, hi) {
                             if check(id) {
                                 assign.push(id);
-                                if rec(doc, index, twig, values, assign, visit) {
+                                if rec(doc, index, twig, assign, visit) {
                                     return true;
                                 }
                                 assign.pop();
@@ -150,7 +136,7 @@ fn rec(
 /// order).
 pub fn all_matches(doc: &XmlDocument, index: &TagIndex, twig: &TwigPattern) -> Vec<Vec<NodeId>> {
     let mut out = Vec::new();
-    for_each_match(doc, index, twig, &[], &mut |m| {
+    for_each_match(doc, index, twig, &mut |m| {
         out.push(m.to_vec());
         true
     });
@@ -160,35 +146,18 @@ pub fn all_matches(doc: &XmlDocument, index: &TagIndex, twig: &TwigPattern) -> V
 /// Counts embeddings without materialising them.
 pub fn count_matches(doc: &XmlDocument, index: &TagIndex, twig: &TwigPattern) -> usize {
     let mut n = 0usize;
-    for_each_match(doc, index, twig, &[], &mut |_| {
+    for_each_match(doc, index, twig, &mut |_| {
         n += 1;
         true
     });
     n
 }
 
-/// Whether at least one embedding exists whose node values match the
-/// per-twig-node constraints — the paper's final structure-validation test
-/// for one candidate result tuple.
-pub fn match_exists_with_values(
-    doc: &XmlDocument,
-    index: &TagIndex,
-    twig: &TwigPattern,
-    values: &[Option<ValueId>],
-) -> bool {
-    let mut found = false;
-    for_each_match(doc, index, twig, values, &mut |_| {
-        found = true;
-        false
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::XmlDocument;
-    use relational::{Dict, Value};
+    use relational::Dict;
 
     /// <a><b>1</b><c><b>2</b><d><b>1</b></d></c></a>
     fn doc(dict: &mut Dict) -> XmlDocument {
@@ -260,78 +229,13 @@ mod tests {
     }
 
     #[test]
-    fn value_constraints_prune_matches() {
-        let mut dict = Dict::new();
-        let d = doc(&mut dict);
-        let idx = TagIndex::build(&d);
-        let twig = TwigPattern::parse("//a//b").unwrap();
-        let one = dict.lookup(&Value::Int(1)).unwrap();
-        let two = dict.lookup(&Value::Int(2)).unwrap();
-        assert!(match_exists_with_values(
-            &d,
-            &idx,
-            &twig,
-            &[None, Some(one)]
-        ));
-        assert!(match_exists_with_values(
-            &d,
-            &idx,
-            &twig,
-            &[None, Some(two)]
-        ));
-        let mut n = 0;
-        for_each_match(&d, &idx, &twig, &[None, Some(one)], &mut |_| {
-            n += 1;
-            true
-        });
-        assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn value_constraint_on_branching_node_prevents_false_join() {
-        // Two c-like parents with equal values but different children: a
-        // value-level join would accept (b=2, d-child) combos that no single
-        // parent supports; the matcher must reject them.
-        let mut dict = Dict::new();
-        let mut b = XmlDocument::builder();
-        b.begin("r");
-        b.begin("c"); // c1 has b=1 only
-        b.value(9i64);
-        b.leaf("b", 1i64);
-        b.end();
-        b.begin("c"); // c2 has b=2 only
-        b.value(9i64);
-        b.leaf("b", 2i64);
-        b.end();
-        b.end();
-        let d = b.build(&mut dict);
-        let idx = TagIndex::build(&d);
-        let twig = TwigPattern::parse("//c[/b$x][/b$y]").unwrap();
-        let one = dict.lookup(&Value::Int(1)).unwrap();
-        let two = dict.lookup(&Value::Int(2)).unwrap();
-        // x=1 and y=2 under the *same* c never happens.
-        assert!(!match_exists_with_values(
-            &d,
-            &idx,
-            &twig,
-            &[None, Some(one), Some(two)]
-        ));
-        assert!(match_exists_with_values(
-            &d,
-            &idx,
-            &twig,
-            &[None, Some(one), Some(one)]
-        ));
-    }
-
-    #[test]
     fn early_exit_stops_enumeration() {
         let mut dict = Dict::new();
         let d = doc(&mut dict);
         let idx = TagIndex::build(&d);
         let twig = TwigPattern::parse("//a//b").unwrap();
         let mut calls = 0;
-        for_each_match(&d, &idx, &twig, &[], &mut |_| {
+        for_each_match(&d, &idx, &twig, &mut |_| {
             calls += 1;
             false
         });

@@ -1,22 +1,41 @@
-//! Tag indexes: per-tag node streams in document order.
+//! Tag indexes: per-tag node streams in document order, and per-tag
+//! `(value, id)` postings.
 //!
 //! Structural and holistic join algorithms consume, for every twig node, the
 //! stream of document elements with a matching tag sorted by region start.
 //! Because the builder assigns node ids in preorder, id order *is* start
 //! order, so each stream is a sorted `Vec<NodeId>` and region-range lookups
 //! ("descendants of `n` with tag `t`") are binary searches.
+//!
+//! Twig validation additionally needs "the nodes with tag `t` and value `v`"
+//! once per twig node per result row. Each tag therefore keeps a second copy
+//! of its stream sorted by `(value, id)` plus a directory of its distinct
+//! values: a lookup is one binary search over the directory (no hashing),
+//! and every posting list is itself in document order, so it can be sliced
+//! to a subtree's id range with two more binary searches.
 
 use crate::model::{NodeId, TagId, XmlDocument};
 use relational::ValueId;
-use std::collections::HashMap;
+
+/// The `(value, id)` postings of one tag.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    /// The tag's nodes sorted by `(value, id)`.
+    ids: Vec<NodeId>,
+    /// The tag's distinct values, ascending.
+    values: Vec<ValueId>,
+    /// `ids[starts[i]..starts[i + 1]]` carry `values[i]`.
+    starts: Vec<u32>,
+}
 
 /// Per-document index: tag → nodes (document order), and (tag, value) →
-/// nodes for the final structure-validation lookups of the XJoin engine.
+/// nodes (document order) for the structure-validation lookups of the XJoin
+/// engine.
 #[derive(Debug, Clone)]
 pub struct TagIndex {
     by_tag: Vec<Vec<NodeId>>,
     starts_by_tag: Vec<Vec<u32>>,
-    by_tag_value: HashMap<(TagId, ValueId), Vec<NodeId>>,
+    postings: Vec<Postings>,
 }
 
 impl TagIndex {
@@ -25,17 +44,39 @@ impl TagIndex {
         let ntags = doc.tags().len();
         let mut by_tag: Vec<Vec<NodeId>> = vec![Vec::new(); ntags];
         let mut starts_by_tag: Vec<Vec<u32>> = vec![Vec::new(); ntags];
-        let mut by_tag_value: HashMap<(TagId, ValueId), Vec<NodeId>> = HashMap::new();
+        // One `value << 32 | id` key per node, so that a plain integer sort
+        // orders a tag's nodes by (value, id).
+        let mut keys_by_tag: Vec<Vec<u64>> = vec![Vec::new(); ntags];
         for id in doc.node_ids() {
             let n = doc.node(id);
             by_tag[n.tag.index()].push(id);
             starts_by_tag[n.tag.index()].push(n.start);
-            by_tag_value.entry((n.tag, n.value)).or_default().push(id);
+            keys_by_tag[n.tag.index()].push(u64::from(n.value.0) << 32 | u64::from(id.0));
         }
+        let postings = keys_by_tag
+            .into_iter()
+            .map(|mut keys| {
+                keys.sort_unstable();
+                let mut p = Postings {
+                    ids: Vec::with_capacity(keys.len()),
+                    ..Postings::default()
+                };
+                for (i, key) in keys.into_iter().enumerate() {
+                    let value = ValueId((key >> 32) as u32);
+                    if p.values.last() != Some(&value) {
+                        p.values.push(value);
+                        p.starts.push(i as u32);
+                    }
+                    p.ids.push(NodeId(key as u32));
+                }
+                p.starts.push(p.ids.len() as u32);
+                p
+            })
+            .collect();
         TagIndex {
             by_tag,
             starts_by_tag,
-            by_tag_value,
+            postings,
         }
     }
 
@@ -63,10 +104,11 @@ impl TagIndex {
 
     /// Nodes with tag `tag` and value `value`, in document order.
     pub fn nodes_with_value(&self, tag: TagId, value: ValueId) -> &[NodeId] {
-        self.by_tag_value
-            .get(&(tag, value))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let p = &self.postings[tag.index()];
+        match p.values.binary_search(&value) {
+            Ok(i) => &p.ids[p.starts[i] as usize..p.starts[i + 1] as usize],
+            Err(_) => &[],
+        }
     }
 
     /// Number of distinct tags indexed.
@@ -147,6 +189,28 @@ mod tests {
         assert_eq!(idx.nodes_with_value(btag, two).len(), 1);
         let dtag = d.tags().lookup("d").unwrap();
         assert!(idx.nodes_with_value(dtag, one).is_empty());
+    }
+
+    #[test]
+    fn postings_equal_a_filtered_scan_in_document_order() {
+        let mut dict = Dict::new();
+        let cfg = crate::generator::RandomTreeConfig {
+            value_domain: 3,
+            seed: 11,
+            ..Default::default()
+        };
+        let d = crate::generator::random_document(&mut dict, &cfg);
+        let idx = TagIndex::build(&d);
+        for t in 0..idx.tag_count() as u32 {
+            for v in 0..dict.len() as u32 {
+                let (tag, value) = (TagId(t), ValueId(v));
+                let scan: Vec<NodeId> = d
+                    .node_ids()
+                    .filter(|&id| d.node(id).tag == tag && d.node(id).value == value)
+                    .collect();
+                assert_eq!(idx.nodes_with_value(tag, value), scan.as_slice());
+            }
+        }
     }
 
     #[test]

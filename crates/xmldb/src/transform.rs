@@ -18,11 +18,11 @@
 //! value view cannot capture is recovered by the engine's final validation
 //! step (see `xjoin-core`).
 
-use crate::model::XmlDocument;
+use crate::model::{NodeId, TagId, XmlDocument};
 use crate::structural::stack_tree_join;
 use crate::tag_index::TagIndex;
 use crate::twig::{Axis, TwigPattern};
-use relational::{Relation, Schema};
+use relational::{Relation, Schema, ValueId};
 
 /// A maximal P-C-connected piece of the twig after cutting A-D edges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,34 +117,37 @@ pub fn path_relation(
 ) -> Relation {
     let vars = path.nodes.iter().map(|&q| twig.node(q).var.clone());
     let schema = Schema::new(vars).expect("twig vars are distinct");
-    let k = path.nodes.len();
-    let leaf_tag = &twig.node(path.nodes[k - 1]).tag;
-
     let mut rel = Relation::new(schema);
-    let leaf_candidates: Vec<crate::model::NodeId> = if leaf_tag == "*" {
-        doc.node_ids().collect()
-    } else {
-        index.nodes_named(doc, leaf_tag).to_vec()
-    };
-    let mut chain = vec![crate::model::NodeId(0); k];
-    let mut buf = Vec::with_capacity(k);
-    'leaf: for leaf in leaf_candidates {
-        chain[k - 1] = leaf;
-        let mut cur = leaf;
-        for j in (0..k - 1).rev() {
-            let Some(parent) = doc.node(cur).parent else {
-                continue 'leaf;
-            };
-            let want = &twig.node(path.nodes[j]).tag;
-            if want != "*" && doc.tag_name(parent) != want {
-                continue 'leaf;
-            }
-            chain[j] = parent;
-            cur = parent;
+    // Tags resolved once per path: `None` is the wildcard; a tag the
+    // document does not have matches no chain at all.
+    let mut tags: Vec<Option<TagId>> = Vec::with_capacity(path.nodes.len());
+    for &q in &path.nodes {
+        let name = &twig.node(q).tag;
+        let tag = doc.tags().lookup(name);
+        if tag.is_none() && name != "*" {
+            return rel;
         }
-        buf.clear();
-        buf.extend(chain.iter().map(|&n| doc.node(n).value));
+        tags.push(tag);
+    }
+    let (&leaf_tag, upper) = tags.split_last().expect("a path has at least one node");
+
+    let mut buf = vec![ValueId(0); tags.len()];
+    let mut emit = |leaf: NodeId| {
+        let mut cur = doc.node(leaf);
+        buf[upper.len()] = cur.value;
+        for (j, want) in upper.iter().enumerate().rev() {
+            let Some(parent) = cur.parent else { return };
+            cur = doc.node(parent);
+            if want.is_some_and(|t| t != cur.tag) {
+                return;
+            }
+            buf[j] = cur.value;
+        }
         rel.push(&buf).expect("arity matches");
+    };
+    match leaf_tag {
+        Some(t) => index.nodes(t).iter().copied().for_each(&mut emit),
+        None => doc.node_ids().for_each(&mut emit),
     }
     rel.sort_dedup();
     rel
@@ -194,12 +197,12 @@ pub fn ad_edge_relation(
     edge: (usize, usize),
 ) -> Relation {
     let (anc, desc) = edge;
-    let anc_nodes: Vec<crate::model::NodeId> = if twig.node(anc).tag == "*" {
+    let anc_nodes: Vec<NodeId> = if twig.node(anc).tag == "*" {
         doc.node_ids().collect()
     } else {
         index.nodes_named(doc, &twig.node(anc).tag).to_vec()
     };
-    let desc_nodes: Vec<crate::model::NodeId> = if twig.node(desc).tag == "*" {
+    let desc_nodes: Vec<NodeId> = if twig.node(desc).tag == "*" {
         doc.node_ids().collect()
     } else {
         index.nodes_named(doc, &twig.node(desc).tag).to_vec()
