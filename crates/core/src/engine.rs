@@ -15,8 +15,7 @@
 //!
 //! Every intermediate `R` is the exact join of the atoms projected onto the
 //! bound prefix, so its size obeys the AGM bound of the prefix hypergraph —
-//! the paper's Lemma 3.5 (checked empirically by the test-suite and the
-//! experiments harness).
+//! the paper's Lemma 3.5 (checked empirically by the test-suite).
 //!
 //! Two optional filters implement the paper's stated on-going work
 //! ("filtering infeasible intermediate results and partially validating the
@@ -33,7 +32,7 @@ use crate::exec::{validate_output, EngineKind, QueryOutput};
 use crate::order::{compute_order, OrderStrategy};
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
-use relational::leapfrog::{leapfrog_foreach, SliceCursor};
+use relational::generic::levelwise_expand;
 use relational::{Attr, JoinPlan, JoinStats, Relation, Schema, ValueId, ValueRange};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -52,9 +51,6 @@ pub struct XJoinConfig {
     /// results").
     pub ad_filter: bool,
 }
-
-/// Sentinel for "no trie level bound yet".
-const NO_NODE: u32 = u32::MAX;
 
 /// One A-D edge filter: order positions of the endpoints plus the legal
 /// value pairs.
@@ -94,7 +90,8 @@ pub fn xjoin_with_plan(
     atom_sizes: Vec<(String, usize)>,
     first_path_atom: usize,
 ) -> Result<QueryOutput> {
-    xjoin_with_plan_in_range(
+    let ad_checks = build_ad_checks(ctx, query, plan.order(), cfg.ad_filter);
+    xjoin_with_plan_body(
         ctx,
         query,
         cfg,
@@ -102,6 +99,7 @@ pub fn xjoin_with_plan(
         atom_sizes,
         first_path_atom,
         &ValueRange::all(),
+        &ad_checks,
     )
 }
 
@@ -143,43 +141,20 @@ pub(crate) fn build_ad_checks(
     ad_checks
 }
 
-/// Range-restricted [`xjoin_with_plan`]: the level-wise expansion only
-/// considers first-variable candidates inside `root`, making the run an
-/// independent morsel of the full join. Over a disjoint cover of the value
-/// space, per-stage intermediate counts (and results) partition exactly —
-/// summing each stage across morsels reproduces the unrestricted run's
-/// Lemma 3.5 series. The morsel scheduler in [`crate::morsel`] drives the
-/// crate-internal body directly (sharing one set of A-D checks across
-/// morsels, with a projection-free query and empty `atom_sizes` so each
-/// morsel reports only its own expansion stages).
-#[allow(clippy::too_many_arguments)]
-pub fn xjoin_with_plan_in_range(
-    ctx: &DataContext<'_>,
-    query: &MultiModelQuery,
-    cfg: &XJoinConfig,
-    plan: &JoinPlan,
-    atom_sizes: Vec<(String, usize)>,
-    first_path_atom: usize,
-    root: &ValueRange,
-) -> Result<QueryOutput> {
-    let ad_checks = build_ad_checks(ctx, query, plan.order(), cfg.ad_filter);
-    xjoin_with_plan_body(
-        ctx,
-        query,
-        cfg,
-        plan,
-        atom_sizes,
-        first_path_atom,
-        root,
-        &ad_checks,
-    )
-}
-
 /// The level-wise XJoin body over pre-built A-D checks (see
 /// [`build_ad_checks`]); per-twig validators are constructed per call — they
 /// carry per-check scratch and a work counter and cannot be shared across
 /// threads. The output projection is checked here, once, before any
 /// expansion work.
+///
+/// The expansion only considers first-variable candidates inside `root`,
+/// making the run an independent morsel of the full join. Over a disjoint
+/// cover of the value space, per-stage intermediate counts (and results)
+/// partition exactly — summing each stage across morsels reproduces the
+/// unrestricted run's Lemma 3.5 series. The morsel scheduler in
+/// [`crate::morsel`] shares one set of A-D checks across morsels and passes
+/// a projection-free query and empty `atom_sizes`, so each morsel reports
+/// only its own expansion stages.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn xjoin_with_plan_body(
     ctx: &DataContext<'_>,
@@ -206,99 +181,34 @@ pub(crate) fn xjoin_with_plan_body(
         .map(|t| TwigValidator::new(ctx.doc, ctx.index, t, &order))
         .collect::<Result<_>>()?;
 
-    let schema = Schema::new(order.iter().cloned()).expect("order vars distinct");
-    let natoms = plan.tries().len();
-
-    let (tuples, count) = if plan.has_empty_atom() {
-        for var in &order {
-            stats.record_var(var, 0);
-        }
-        (Vec::new(), 0)
-    } else {
-        let mut width = 0usize;
-        let mut tuples: Vec<ValueId> = Vec::new();
-        let mut ptrs: Vec<u32> = vec![NO_NODE; natoms];
-        let mut count = 1usize;
-        let mut cand: Vec<ValueId> = Vec::with_capacity(order.len());
-
-        for (d, vp) in plan.var_plans().iter().enumerate() {
-            // Sized for one extension per tuple, the steady state of the
-            // later levels: a buffer that doubles its way there holds the
-            // old and the new copy at once, and that sets the op's peak.
-            let mut next_tuples: Vec<ValueId> = Vec::with_capacity(count * (width + 1));
-            let mut next_ptrs: Vec<u32> = Vec::with_capacity(count * natoms);
-            let mut next_count = 0usize;
-            let mut range_starts: Vec<u32> = Vec::with_capacity(vp.participants.len());
-            let mut cursors: Vec<SliceCursor<'_>> = Vec::with_capacity(vp.participants.len());
-
-            for t in 0..count {
-                let prefix = &tuples[t * width..t * width + width];
-                let tuple_ptrs = &ptrs[t * natoms..t * natoms + natoms];
-                range_starts.clear();
-                cursors.clear();
-                for p in &vp.participants {
-                    let trie = &plan.tries()[p.atom];
-                    let mut range = if p.level == 0 {
-                        trie.root_range()
-                    } else {
-                        trie.children(p.level - 1, tuple_ptrs[p.atom])
-                    };
-                    if d == 0 {
-                        range = root.clamp_nodes(trie, p.level, range);
-                    }
-                    range_starts.push(range.start);
-                    cursors.push(SliceCursor::new(trie.values(p.level, range)));
-                }
-
-                leapfrog_foreach(&mut cursors, |v, cs| {
-                    // "Filter E by satisfying relation between p and A":
-                    // the cut A-D edges…
-                    for (pa, pd, set) in &ad_checks[d] {
-                        let va = if *pa == d { v } else { prefix[*pa] };
-                        let vd = if *pd == d { v } else { prefix[*pd] };
-                        if !set.contains(&(va, vd)) {
-                            return;
-                        }
-                    }
-                    // …and (optionally) partial structure validation.
-                    if cfg.partial_validation {
-                        cand.clear();
-                        cand.extend_from_slice(prefix);
-                        cand.push(v);
-                        for val in validators.iter_mut() {
-                            if val.involves_position(d) && !val.check_prefix(&cand, d + 1) {
-                                return;
-                            }
-                        }
-                    }
-                    next_tuples.extend_from_slice(prefix);
-                    next_tuples.push(v);
-                    let base = next_ptrs.len();
-                    next_ptrs.extend_from_slice(tuple_ptrs);
-                    for (k, p) in vp.participants.iter().enumerate() {
-                        next_ptrs[base + p.atom] = range_starts[k] + cs[k].pos() as u32;
-                    }
-                    next_count += 1;
-                });
-            }
-
-            tuples = next_tuples;
-            ptrs = next_ptrs;
-            count = next_count;
-            width = d + 1;
-            stats.record_var(&vp.var, count);
-            if count == 0 {
-                for rest in &plan.var_plans()[d + 1..] {
-                    stats.record_var(&rest.var, 0);
-                }
-                break;
+    // "Filter E by satisfying relation between p and A": the cut A-D edges
+    // and (optionally) partial structure validation.
+    let mut cand: Vec<ValueId> = Vec::with_capacity(order.len());
+    let (tuples, count, expansion) = levelwise_expand(plan, root, |d, prefix, v| {
+        for (pa, pd, set) in &ad_checks[d] {
+            let va = if *pa == d { v } else { prefix[*pa] };
+            let vd = if *pd == d { v } else { prefix[*pd] };
+            if !set.contains(&(va, vd)) {
+                return false;
             }
         }
-        (tuples, count)
-    };
+        if cfg.partial_validation {
+            cand.clear();
+            cand.extend_from_slice(prefix);
+            cand.push(v);
+            for val in validators.iter_mut() {
+                if val.involves_position(d) && !val.check_prefix(&cand, d + 1) {
+                    return false;
+                }
+            }
+        }
+        true
+    });
+    stats.stages.extend(expansion.stages);
 
     // Final structure validation ("Filter R by validating structure of Sx").
     let width = order.len();
+    let schema = Schema::new(order.iter().cloned()).expect("order vars distinct");
     let mut result = Relation::with_capacity(schema, count);
     for t in 0..count {
         let tuple = &tuples[t * width..t * width + width];
@@ -325,7 +235,7 @@ pub(crate) fn xjoin_with_plan_body(
 }
 
 /// Re-exported helper: lowers a query to its atom set without running the
-/// join (the experiments harness uses this to compute bounds).
+/// join (what [`crate::bounds`] prices and the Lemma 3.5 checks read).
 pub fn lower<'a>(ctx: &DataContext<'a>, query: &MultiModelQuery) -> Result<Atoms<'a>> {
     collect_atoms(ctx, query)
 }

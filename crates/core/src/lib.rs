@@ -72,7 +72,7 @@ pub mod validate;
 pub use atoms::{collect_atoms, AtomRel, Atoms};
 pub use baseline::{baseline, BaselineConfig, RelAlg, XmlAlg};
 pub use bounds::{mixed_hypergraph, prefix_bounds, query_bound, query_exponent, query_log_bound};
-pub use engine::{lower, xjoin, xjoin_with_plan, xjoin_with_plan_in_range, XJoinConfig};
+pub use engine::{lower, xjoin, xjoin_with_plan, XJoinConfig};
 pub use error::{CoreError, Result};
 pub use exec::{
     engine_for, execute, execute_with_plan, stream, validate_output, Engine, EngineKind,
@@ -89,5 +89,5 @@ pub use query::{
     all_variables, variables_of, DataContext, MultiModelQuery, RelAtom, ResolvedAtom, Term,
 };
 pub use relational::Ladder;
-pub use stream::{stream_with_plan, xjoin_rows, xjoin_rows_with_plan, Rows, RowsStats};
+pub use stream::{stream_with_plan, xjoin_rows, Rows, RowsStats};
 pub use validate::TwigValidator;

@@ -73,7 +73,7 @@ enum Inner<'a> {
 ///
 /// Yields one `Vec<ValueId>` per result row, laid out per [`Rows::schema`].
 /// Construct via [`crate::exec::stream`], [`crate::exec::Query::rows`], or
-/// the plan-level [`xjoin_rows`] / [`xjoin_rows_with_plan`].
+/// the plan-level [`xjoin_rows`] / [`stream_with_plan`].
 pub struct Rows<'a> {
     schema: Schema,
     order: Vec<Attr>,
@@ -348,18 +348,7 @@ pub fn xjoin_rows<'a>(
 
 /// Streams the query over an already-assembled plan (whose tries may come
 /// from a shared cache — see the `xjoin-store` crate), with the same
-/// per-tuple validation as [`xjoin_rows`]. Always the serial walk; use
-/// [`stream_with_plan`] to honour a [`crate::Parallelism`] setting.
-pub fn xjoin_rows_with_plan<'a>(
-    ctx: &DataContext<'a>,
-    query: &'a MultiModelQuery,
-    plan: JoinPlan,
-    limit: Option<usize>,
-) -> Result<Rows<'a>> {
-    Rows::from_walk(ctx, query, plan, limit)
-}
-
-/// Streams the query over an already-assembled plan, honouring the given
+/// per-tuple validation as [`xjoin_rows`], honouring the given
 /// [`crate::ExecOptions`]: `limit` is pushed into the walk(s), and when
 /// [`crate::ExecOptions::parallelism`] asks for more than one worker the
 /// plan is walked morsel-parallel (see [`crate::morsel`]) — in the serial

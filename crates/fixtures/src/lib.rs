@@ -1,4 +1,5 @@
-//! Workload generators for the paper's experiments.
+//! Test fixtures for the XJoin reproduction: the seeded instance generators
+//! and canned queries the root integration suites and `examples/` share.
 //!
 //! * [`fig3_tight`] — the AGM-tight instance of the Figure 3 query, built
 //!   from the dual (vertex packing) solution per Lemma 3.2: the twig-only
@@ -8,6 +9,10 @@
 //!   "synthetic data" style of the paper's bar chart).
 //! * [`bookstore`] — the Figure 1 scenario (orders table ⋈ invoices
 //!   document).
+//! * [`graph_instance`], [`zipf_graph_instance`], [`branch_skew_instance`] —
+//!   pure-relational triangle / clique / skew instances.
+
+#![warn(missing_docs)]
 
 use relational::{Database, Relation, Schema, Value};
 use xjoin_core::MultiModelQuery;
@@ -28,8 +33,7 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Builds the tag index (kept separate so benchmarks can include or
-    /// exclude index construction).
+    /// Builds the tag index over the document.
     pub fn index(&self) -> TagIndex {
         TagIndex::build(&self.doc)
     }
@@ -218,8 +222,8 @@ pub fn fig2_instance(n: usize) -> Instance {
 /// (both directions stored), with a trivial one-node document so the
 /// instance runs through the multi-model [`xjoin_core::DataContext`]. The
 /// workhorse of the worst-case optimal literature's triangle/clique
-/// benchmarks — and of the morsel-parallel threads sweep, whose top join
-/// attribute (`a`) has one root value per vertex to shard on.
+/// queries — and of the morsel-parallel suites, whose top join attribute
+/// (`a`) has one root value per vertex to shard on.
 pub fn graph_instance(nodes: usize, edges: usize, seed: u64) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(edges * 2);
@@ -242,49 +246,6 @@ pub fn graph_instance(nodes: usize, edges: usize, seed: u64) -> Instance {
     let doc = b.build(&mut dict);
     *db.dict_mut() = dict;
     Instance { db, doc }
-}
-
-/// The churn workload: a filtered triangle over three *physically distinct*
-/// copies of a random symmetric edge set — `R(a, b)`, `S(b, c)`, `T(a, c)` —
-/// plus a small filter `F(a)` holding nodes `0..filter`. Distinct relations
-/// (rather than [`triangle_query`]'s three renamings of one `E`) keep every
-/// atom a plain base-relation atom, the kind `xjoin_store` resolves through
-/// delta overlays after an append; the filter keeps warm probes cheap so
-/// write-path costs (run-trie builds vs full rebuilds) dominate the
-/// measurement.
-pub fn churn_instance(nodes: usize, edges: usize, filter: usize, seed: u64) -> Instance {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(edges * 2);
-    for _ in 0..edges {
-        let u = rng.gen_range(0..nodes as i64);
-        let v = rng.gen_range(0..nodes as i64);
-        if u == v {
-            continue;
-        }
-        rows.push(vec![Value::Int(u), Value::Int(v)]);
-        rows.push(vec![Value::Int(v), Value::Int(u)]);
-    }
-    let mut db = Database::new();
-    for (name, attrs) in [("R", ["a", "b"]), ("S", ["b", "c"]), ("T", ["a", "c"])] {
-        db.load(name, Schema::of(&attrs), rows.clone())
-            .expect("load edge copy");
-    }
-    let filter_rows: Vec<Vec<Value>> = (0..filter as i64).map(|i| vec![Value::Int(i)]).collect();
-    db.load("F", Schema::of(&["a"]), filter_rows)
-        .expect("load filter");
-    let mut dict = db.dict().clone();
-    let mut b = XmlDocument::builder();
-    b.begin("graph");
-    b.end();
-    let doc = b.build(&mut dict);
-    *db.dict_mut() = dict;
-    Instance { db, doc }
-}
-
-/// The query over [`churn_instance`]:
-/// `Q(a, b, c) :- F(a), R(a, b), S(b, c), T(a, c)`.
-pub fn churn_query() -> MultiModelQuery {
-    MultiModelQuery::new::<&str>(&["F", "R", "S", "T"], &[]).expect("no twigs to parse")
 }
 
 /// Draws one node id from a Zipf(`s`) distribution over `0..nodes` via
@@ -337,34 +298,6 @@ pub fn zipf_graph_instance(nodes: usize, edges: usize, skew: f64, seed: u64) -> 
     Instance { db, doc }
 }
 
-/// A binary relation `(key, val)` with engineered heavy hitters: `hitters`
-/// keys soak up `hitter_share` of the `rows` (vals drawn uniformly from a
-/// wide range so heavy keys fan out), the rest spread uniformly over
-/// `0..light_domain`. Seeded and fully deterministic — the building block
-/// for hand-shaped skew instances.
-pub fn heavy_hitter_relation(
-    rows: usize,
-    light_domain: i64,
-    hitters: usize,
-    hitter_share: f64,
-    seed: u64,
-) -> Vec<Vec<Value>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let key = if hitters > 0 && rng.gen_range(0.0..1.0) < hitter_share {
-            // Heavy keys live above the light domain so the two populations
-            // never collide.
-            light_domain + rng.gen_range(0..hitters as i64)
-        } else {
-            rng.gen_range(0..light_domain)
-        };
-        let val = rng.gen_range(0..light_domain * 4);
-        out.push(vec![Value::Int(key), Value::Int(val)]);
-    }
-    out
-}
-
 // Value offsets of the branch-skew workload: heavy fanout values and the
 // per-key light values live in disjoint ranges.
 const SKEW_HEAVY_B0: i64 = 1_000_000;
@@ -383,8 +316,7 @@ const SKEW_LIGHT_C0: i64 = 600_000;
 /// kills the subtree — but which branch is thin alternates with the parity
 /// of `a`. Any static order pays the `heavy`-wide expansion on one parity
 /// class; a runtime-adaptive walk binds the thin branch first on both and
-/// fails fast everywhere, which is the ≥2× separation the skew experiment
-/// gates on. Deterministic by construction (no RNG).
+/// fails fast everywhere. Deterministic by construction (no RNG).
 pub fn branch_skew_instance(keys: usize, heavy: usize) -> Instance {
     let mut r_rows: Vec<Vec<Value>> = Vec::new();
     let mut s_rows: Vec<Vec<Value>> = Vec::new();
@@ -618,18 +550,6 @@ mod tests {
             .count();
         let mean = rel_a.len() / 64;
         assert!(zeros > 3 * mean, "zeros={zeros} mean={mean}");
-    }
-
-    #[test]
-    fn heavy_hitter_relation_concentrates_mass() {
-        let rows = heavy_hitter_relation(2000, 1000, 4, 0.6, 3);
-        assert_eq!(rows, heavy_hitter_relation(2000, 1000, 4, 0.6, 3));
-        let heavy = rows
-            .iter()
-            .filter(|r| matches!(r[0], Value::Int(k) if k >= 1000))
-            .count();
-        // ~60% of the mass on 4 of ~1004 keys.
-        assert!(heavy > rows.len() / 2, "heavy={heavy}");
     }
 
     #[test]

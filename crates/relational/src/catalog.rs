@@ -114,8 +114,7 @@ impl Database {
             .collect()
     }
 
-    /// Renders a relation as a plain-text table (for examples and the
-    /// experiments harness).
+    /// Renders a relation as a plain-text table (for examples).
     pub fn render_table(&self, rel: &Relation) -> String {
         let attrs = rel.schema().attrs();
         let mut cols: Vec<Vec<String>> = attrs.iter().map(|a| vec![a.name().to_owned()]).collect();

@@ -32,22 +32,6 @@ pub fn random_relation(
     domain: u64,
     seed: u64,
 ) -> Relation {
-    let mut rel = random_relation_raw(dict, schema, rows, domain, seed);
-    rel.sort_dedup();
-    rel
-}
-
-/// Like [`random_relation`], but keeps the raw insertion order and any
-/// duplicate tuples — i.e. a *shuffled* input. Trie-construction benchmarks
-/// use this to measure the sorting cost that [`random_relation`]'s
-/// `sort_dedup` would otherwise pay up front.
-pub fn random_relation_raw(
-    dict: &mut Dict,
-    schema: Schema,
-    rows: usize,
-    domain: u64,
-    seed: u64,
-) -> Relation {
     let mut rng = StdRng::seed_from_u64(seed);
     let arity = schema.arity();
     let mut rel = Relation::with_capacity(schema, rows);
@@ -59,6 +43,7 @@ pub fn random_relation_raw(
         }
         rel.push(&buf).expect("arity matches");
     }
+    rel.sort_dedup();
     rel
 }
 

@@ -38,17 +38,44 @@ pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
 /// Lemma 3.5 measurements.
 pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation, JoinStats) {
     let start = Instant::now();
-    let order = plan.order();
+    let schema = Schema::new(plan.order().iter().cloned()).expect("order vars are distinct");
+    let width = plan.order().len();
+    let (tuples, count, mut stats) = levelwise_expand(plan, root, |_, _, _| true);
+    let mut out = Relation::with_capacity(schema, count);
+    if width > 0 {
+        for t in 0..count {
+            out.push(&tuples[t * width..t * width + width])
+                .expect("width matches arity");
+        }
+    }
+    stats.output_rows = out.len();
+    stats.elapsed = start.elapsed();
+    (out, stats)
+}
+
+/// Algorithm 1's expansion loop: binds the plan's variables one at a time,
+/// materialising after each the tuples over the bound prefix whose first
+/// binding falls inside `root`. `keep(depth, prefix, candidate)` sees every
+/// extension the leapfrog intersection proposes at `depth` and drops it by
+/// returning `false` (XJoin's A-D and partial-structure filters; a plain
+/// join keeps everything).
+///
+/// Returns the surviving full-width tuples flattened row-major, their count,
+/// and stats holding one stage record per variable — all zero when an atom
+/// is empty or a level dies out.
+pub fn levelwise_expand(
+    plan: &JoinPlan,
+    root: &ValueRange,
+    mut keep: impl FnMut(usize, &[ValueId], ValueId) -> bool,
+) -> (Vec<ValueId>, usize, JoinStats) {
     let natoms = plan.tries().len();
-    let schema = Schema::new(order.iter().cloned()).expect("order vars are distinct");
     let mut stats = JoinStats::default();
 
     if plan.has_empty_atom() {
-        for var in order {
+        for var in plan.order() {
             stats.record_var(var, 0);
         }
-        stats.elapsed = start.elapsed();
-        return (Relation::new(schema), stats);
+        return (Vec::new(), 0, stats);
     }
 
     // One initial tuple with empty prefix and no atom positioned anywhere.
@@ -58,8 +85,11 @@ pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation,
     let mut count = 1usize;
 
     for (d, vp) in plan.var_plans().iter().enumerate() {
-        let mut next_tuples: Vec<ValueId> = Vec::new();
-        let mut next_ptrs: Vec<u32> = Vec::new();
+        // Sized for one extension per tuple, the steady state of the later
+        // levels: a buffer that doubles its way there holds the old and the
+        // new copy at once, and that sets the op's peak.
+        let mut next_tuples: Vec<ValueId> = Vec::with_capacity(count * (width + 1));
+        let mut next_ptrs: Vec<u32> = Vec::with_capacity(count * natoms);
         let mut next_count = 0usize;
 
         let mut range_starts: Vec<u32> = Vec::with_capacity(vp.participants.len());
@@ -88,6 +118,9 @@ pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation,
             }
 
             leapfrog_foreach(&mut cursors, |v, cs| {
+                if !keep(d, prefix, v) {
+                    return;
+                }
                 next_tuples.extend_from_slice(prefix);
                 next_tuples.push(v);
                 let base = next_ptrs.len();
@@ -113,17 +146,7 @@ pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation,
             break;
         }
     }
-
-    let mut out = Relation::with_capacity(schema, count);
-    if count > 0 && width > 0 {
-        for t in 0..count {
-            out.push(&tuples[t * width..t * width + width])
-                .expect("width matches arity");
-        }
-    }
-    stats.output_rows = out.len();
-    stats.elapsed = start.elapsed();
-    (out, stats)
+    (tuples, count, stats)
 }
 
 /// Convenience wrapper: plans and runs the generic join over `relations`

@@ -215,7 +215,7 @@ impl Dict {
 
     /// Approximate heap footprint in bytes: the value storage (string
     /// payloads included) plus the hash index. Memory budgeters (cache
-    /// sizing, the `experiments` binary's reports) use this estimate; it
+    /// sizing, `explain`'s reports) use this estimate; it
     /// deliberately ignores allocator slack and `HashMap` load-factor
     /// headroom.
     pub fn estimated_bytes(&self) -> usize {

@@ -35,8 +35,7 @@ use std::sync::{Arc, Mutex};
 /// Admission policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionPolicy {
-    /// Master switch; `false` accepts everything (used as the control arm of
-    /// `experiments serve`).
+    /// Master switch; `false` accepts everything.
     pub enabled: bool,
     /// Requests priced at or below this many cost units (`log2` of the AGM
     /// bound) ride the cheap lane: admitted regardless of the expensive

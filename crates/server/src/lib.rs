@@ -16,7 +16,7 @@
 //!   prepared-statement cache, and end-to-end deadline / row-budget
 //!   enforcement through the worker pool;
 //! * [`client`] — a minimal blocking client (used by the example, the
-//!   loopback tests, and the `experiments serve` load generator).
+//!   loopback tests, and the benchmark's closed-loop clients).
 //!
 //! Everything is std-only, like the rest of the workspace.
 

@@ -356,6 +356,11 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid UTF-8"))
     }
 
+    /// Bytes not yet consumed.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Errors unless the whole payload was consumed.
     pub fn finish(self) -> WireResult<()> {
         if self.pos != self.buf.len() {
@@ -628,15 +633,25 @@ pub fn encode_rows(columns: &[String], rows: &[Vec<Value>], truncated: bool) -> 
 fn decode_rows(payload: &[u8]) -> WireResult<RowSet> {
     let mut c = Cursor::new(payload);
     let flags = c.u8()?;
+    // Both counts come off the wire: check each against what the rest of
+    // the payload can back before allocating for it. A column name is at
+    // least its 2-byte length, a cell at least 5 bytes (tag + empty string).
     let ncols = c.u32()? as usize;
+    if ncols > c.remaining() / 2 {
+        return Err(malformed("column count exceeds payload size"));
+    }
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         columns.push(c.str16()?);
     }
-    let nrows = c.u64()? as usize;
-    // Each cell is at least 2 bytes on the wire; reject row counts the
-    // payload cannot possibly back before allocating for them.
-    if ncols != 0 && nrows.saturating_mul(ncols) > payload.len() {
+    let nrows = usize::try_from(c.u64()?).unwrap_or(usize::MAX);
+    // A zero-column result is a set over no attributes: empty or one row.
+    let max_rows = if ncols == 0 {
+        1
+    } else {
+        c.remaining() / (5 * ncols)
+    };
+    if nrows > max_rows {
         return Err(malformed("row count exceeds payload size"));
     }
     let mut rows = Vec::with_capacity(nrows);

@@ -114,18 +114,6 @@ pub struct CacheStats {
     pub budget: Option<usize>,
 }
 
-impl CacheStats {
-    /// Fraction of requests served from the cache (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Entry {
     cached: CachedTrie,
     bytes: usize,
@@ -604,7 +592,6 @@ mod tests {
         assert!(reg.lookup(&key("R", 1)).is_some());
         let s = reg.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

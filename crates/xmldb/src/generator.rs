@@ -68,31 +68,6 @@ pub fn random_document(dict: &mut Dict, cfg: &RandomTreeConfig) -> XmlDocument {
     b.build(dict)
 }
 
-/// Generates a "bushy" document with an exact shape: `width` subtrees, each a
-/// chain of the given `tags`, values cycling through `0..value_domain`.
-/// Handy for tests that need predictable cardinalities per tag.
-pub fn comb_document(
-    dict: &mut Dict,
-    root_tag: &str,
-    tags: &[&str],
-    width: usize,
-    value_domain: u64,
-) -> XmlDocument {
-    let mut b = XmlDocument::builder();
-    b.begin(root_tag);
-    for i in 0..width {
-        for (d, tag) in tags.iter().enumerate() {
-            b.begin(tag);
-            b.value(((i as u64 + d as u64) % value_domain) as i64);
-        }
-        for _ in tags {
-            b.end();
-        }
-    }
-    b.end();
-    b.build(dict)
-}
-
 /// Configuration for [`auction_document`], an XMark-inspired auction-site
 /// document (the classic XML benchmark shape: people, items, open auctions).
 #[derive(Debug, Clone)]
@@ -247,20 +222,6 @@ mod tests {
         for id in doc.node_ids() {
             let n = doc.node(id);
             assert_eq!(n.value == empty, !n.children.is_empty(), "{id}");
-        }
-    }
-
-    #[test]
-    fn comb_document_shape() {
-        let mut dict = Dict::new();
-        let doc = comb_document(&mut dict, "r", &["x", "y"], 5, 100);
-        let idx = TagIndex::build(&doc);
-        assert_eq!(idx.nodes_named(&doc, "x").len(), 5);
-        assert_eq!(idx.nodes_named(&doc, "y").len(), 5);
-        // Every y's parent is an x.
-        for &y in idx.nodes_named(&doc, "y") {
-            let p = doc.node(y).parent.unwrap();
-            assert_eq!(doc.tag_name(p), "x");
         }
     }
 

@@ -11,7 +11,7 @@
 //! `STATS` frame, and a graceful shutdown — everything crossing a real TCP
 //! socket as length-prefixed binary frames.
 
-use bench::workloads::bookstore;
+use fixtures::bookstore;
 use std::sync::Arc;
 use xjoin_core::{EngineKind, ExecOptions};
 use xjoin_repro::xjoin_serve::{

@@ -1,7 +1,8 @@
 //! The paper's Figure 3 / Example 3.4, self-contained: build the AGM-tight
 //! synthetic instance where the twig-only bound is `n^5` but the combined
 //! bound is `n^2`, and watch the baseline materialise the `n^5` while XJoin
-//! never exceeds `n^2`.
+//! never exceeds `n^2`. Ends with `EXPLAIN ANALYZE`'s per-level table: what
+//! each level bound next to its Lemma 3.5 bound.
 //!
 //! ```sh
 //! cargo run --release --example synthetic_worstcase [n]
@@ -9,7 +10,8 @@
 
 use relational::{Database, Schema, Value};
 use xjoin_core::{
-    baseline, lower, query_bound, xjoin, BaselineConfig, DataContext, MultiModelQuery, XJoinConfig,
+    baseline, explain_analyze, lower, query_bound, xjoin, BaselineConfig, DataContext,
+    MultiModelQuery, XJoinConfig,
 };
 use xmldb::{TagIndex, XmlDocument};
 
@@ -120,4 +122,16 @@ fn main() {
         x.stats.max_intermediate() as f64 <= bound + 1e-6,
         "Lemma 3.5"
     );
+
+    let report =
+        explain_analyze(&ctx, &query, &XJoinConfig::default().order).expect("analyze runs");
+    println!("EXPLAIN ANALYZE (actual vs Lemma 3.5 bound per level):");
+    println!("{}", report.render());
+    for level in &report.levels {
+        assert!(
+            level.tightness() <= 1.0 + 1e-9,
+            "Lemma 3.5 at {}",
+            level.var
+        );
+    }
 }

@@ -25,8 +25,9 @@
 //!   deadlines and row budgets, and AGM-based admission control.
 //!
 //! See `examples/quickstart.rs` for a three-minute tour,
-//! `examples/query_server.rs` for the networked serving layer, and the
-//! `bench` crate's `experiments` binary for the paper's tables and figures.
+//! `examples/query_server.rs` for the networked serving layer,
+//! `examples/synthetic_worstcase.rs` for the paper's Figure 3 series, and
+//! `xjbench/` for every performance number.
 
 pub use agm;
 pub use relational;

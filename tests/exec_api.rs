@@ -3,9 +3,7 @@
 //! result sets, `Rows` limit pushdown provably visits fewer tuples, and
 //! validation errors surface at prepare time.
 
-use bench::workloads::{
-    branch_skew_instance, branch_skew_query, triangle_query, zipf_graph_instance,
-};
+use fixtures::{branch_skew_instance, branch_skew_query, triangle_query, zipf_graph_instance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relational::{Database, Ladder, Relation, Schema, Value, ValueId};

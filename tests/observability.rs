@@ -8,7 +8,7 @@
 //! threads, and an unserialized enable/disable would splice unrelated spans
 //! into a collected trace.
 
-use bench::workloads::{graph_instance, triangle_query};
+use fixtures::{graph_instance, triangle_query};
 use proptest::prelude::*;
 use relational::ValueId;
 use std::sync::{Mutex, OnceLock};

@@ -9,7 +9,7 @@
 //! values, and walk work counters (`Rows::stats().visited`) sum across
 //! workers to the serial count.
 
-use bench::workloads::{
+use fixtures::{
     branch_skew_instance, branch_skew_query, clique4_query, graph_instance, triangle_query,
     zipf_graph_instance,
 };

@@ -208,7 +208,7 @@ fn thread_counts() -> Vec<usize> {
     ignore = "spawns threads over a large instance; the per-seek arithmetic is covered by the proptests above"
 )]
 fn parallel_block_kernel_matches_serial_on_bitset_workloads() {
-    use bench::workloads::{graph_instance, triangle_query};
+    use fixtures::{graph_instance, triangle_query};
     let inst = graph_instance(96, 1800, 7);
     let idx = inst.index();
     let ctx = DataContext::new(&inst.db, &inst.doc, &idx);

@@ -9,12 +9,13 @@
 //! forced multi-thread pass), so the whole suite runs in both serial and
 //! parallel service configurations.
 
-use bench::workloads::{bookstore, decoded, graph_instance};
+use fixtures::{bookstore, decoded, graph_instance};
 use relational::Value;
 use std::sync::Arc;
 use xjoin_core::{parse_query, EngineKind, ExecOptions};
 use xjoin_serve::{
     AdmissionPolicy, Client, ErrorCode, RequestOpts, Response, Server, ServerConfig, ServerHandle,
+    WireError,
 };
 use xjoin_store::VersionedStore;
 
@@ -324,6 +325,37 @@ fn malformed_and_truncated_frames_get_structured_errors() {
         .unwrap();
     assert!(matches!(ok, Response::Rows(_)));
     handle.shutdown();
+}
+
+/// A hostile server cannot make the client allocate from counts its reply
+/// does not back: the decoder must refuse them (an `Err`, not an abort).
+#[test]
+fn rows_reply_with_counts_the_payload_cannot_back_is_rejected() {
+    use xjoin_serve::protocol::{decode_response, op};
+
+    // 2³² − 1 columns announced in a 5-byte payload.
+    let reply = decode_response(op::ROWS, &[0x00, 0xFF, 0xFF, 0xFF, 0xFF]);
+    assert!(matches!(reply, Err(WireError::Malformed(_))), "{reply:?}");
+
+    // Zero columns, so no cell bytes are owed, with a huge row count.
+    let zero_columns = |nrows: u64| {
+        let mut payload = vec![0x00, 0, 0, 0, 0];
+        payload.extend_from_slice(&nrows.to_be_bytes());
+        decode_response(op::ROWS, &payload)
+    };
+    for nrows in [u64::MAX, 1 << 33, 2] {
+        let reply = zero_columns(nrows);
+        assert!(matches!(reply, Err(WireError::Malformed(_))), "{reply:?}");
+    }
+
+    // The one well-formed zero-column reply with a row: a query that holds.
+    match zero_columns(1) {
+        Ok(Response::Rows(set)) => {
+            assert!(set.columns.is_empty());
+            assert_eq!(set.rows, vec![Vec::<Value>::new()]);
+        }
+        other => panic!("expected one empty row, got {other:?}"),
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! result-identical to full rebuilds while the registry honours its byte
 //! budget and sheds superseded trie versions.
 
-use bench::workloads::{bookstore, bookstore_query, fig3_query, fig3_tight};
+use fixtures::{bookstore, bookstore_query, fig3_query, fig3_tight};
 use relational::{Schema, Value};
 use std::sync::Arc;
 use xjoin_core::{execute, EngineKind, ExecOptions, MultiModelQuery, Parallelism};

@@ -4,7 +4,6 @@
 //! against a reference built on the navigational matcher, and the engines
 //! that call it against the baseline and the seed's intermediate sizes.
 
-use bench::workloads;
 use proptest::prelude::*;
 use relational::{Attr, Dict, ValueId};
 use std::collections::BTreeSet;
@@ -387,22 +386,22 @@ const SEED_STAGES: &[StageRow] = &[
 
 #[test]
 fn engines_agree_with_the_baseline_and_expand_exactly_as_before() {
-    let instances: [(&str, workloads::Instance, MultiModelQuery); 4] = [
+    let instances: [(&str, fixtures::Instance, MultiModelQuery); 4] = [
         (
             "fig3-tight",
-            workloads::fig3_tight(5),
-            workloads::fig3_query(),
+            fixtures::fig3_tight(5),
+            fixtures::fig3_query(),
         ),
         (
             "fig3-random",
-            workloads::fig3_random(8, 6, 7),
-            workloads::fig3_query(),
+            fixtures::fig3_random(8, 6, 7),
+            fixtures::fig3_query(),
         ),
-        ("fig2", workloads::fig2_instance(4), workloads::fig2_query()),
+        ("fig2", fixtures::fig2_instance(4), fixtures::fig2_query()),
         (
             "bookstore",
-            workloads::bookstore(),
-            workloads::bookstore_query(),
+            fixtures::bookstore(),
+            fixtures::bookstore_query(),
         ),
     ];
     let flags = [(false, false), (true, false), (false, true), (true, true)];
