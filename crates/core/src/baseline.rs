@@ -8,7 +8,7 @@
 //! the gap the paper's bar chart shows.
 
 use crate::error::{CoreError, Result};
-use crate::exec::{validate_output, EngineKind, QueryOutput};
+use crate::exec::{validate_output, QueryOutput};
 use crate::query::{variables_of, DataContext, MultiModelQuery};
 use relational::hashjoin::{hash_join, multiway_hash_join};
 use relational::lftj::lftj_join;
@@ -173,10 +173,6 @@ pub fn baseline(
         stats,
         order,
         atom_sizes: Vec::new(),
-        engine: EngineKind::Baseline {
-            rel_alg: cfg.rel_alg,
-            xml_alg: cfg.xml_alg,
-        },
     })
 }
 

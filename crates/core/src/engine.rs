@@ -28,12 +28,12 @@
 
 use crate::atoms::{collect_atoms, Atoms};
 use crate::error::Result;
-use crate::exec::{validate_output, EngineKind, QueryOutput};
+use crate::exec::{validate_output, QueryOutput};
 use crate::order::{compute_order, OrderStrategy};
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
 use relational::generic::levelwise_expand;
-use relational::{Attr, JoinPlan, JoinStats, Relation, Schema, ValueId, ValueRange};
+use relational::{Attr, JoinPlan, JoinStats, Relation, Schema, ValueId};
 use std::collections::HashSet;
 use std::time::Instant;
 use xmldb::transform::{ad_edge_relation, decompose};
@@ -54,7 +54,7 @@ pub struct XJoinConfig {
 
 /// One A-D edge filter: order positions of the endpoints plus the legal
 /// value pairs.
-pub(crate) type AdCheck = (usize, usize, HashSet<(ValueId, ValueId)>);
+type AdCheck = (usize, usize, HashSet<(ValueId, ValueId)>);
 
 /// Runs XJoin on a multi-model query: lowers the query to atoms, builds a
 /// plan (constructing fresh tries), and executes it. `stats.elapsed` covers
@@ -75,43 +75,13 @@ pub fn xjoin(
     Ok(out)
 }
 
-/// Executes XJoin over an already-assembled [`JoinPlan`] (whose tries may
-/// come from a shared cache — see the `xjoin-store` crate). The plan's order
-/// must cover the query's variables; `atom_sizes` / `first_path_atom`
-/// describe the plan's atoms as [`Atoms::sizes`] /
-/// [`Atoms::first_path_atom`] would. `stats.elapsed` covers execution over
-/// the given plan only — trie construction is the caller's (typically a
-/// cache's) concern.
-pub fn xjoin_with_plan(
-    ctx: &DataContext<'_>,
-    query: &MultiModelQuery,
-    cfg: &XJoinConfig,
-    plan: &JoinPlan,
-    atom_sizes: Vec<(String, usize)>,
-    first_path_atom: usize,
-) -> Result<QueryOutput> {
-    let ad_checks = build_ad_checks(ctx, query, plan.order(), cfg.ad_filter);
-    xjoin_with_plan_body(
-        ctx,
-        query,
-        cfg,
-        plan,
-        atom_sizes,
-        first_path_atom,
-        &ValueRange::all(),
-        &ad_checks,
-    )
-}
-
 /// Builds the A-D edge filters for a query under `order`: per expansion
 /// level, the `(anc position, desc position, value-pair set)` checks
-/// triggered at the level where the later endpoint binds. The sets are
-/// immutable and depend only on the context, query, and order — the morsel
-/// scheduler builds them **once** per query and shares them read-only
-/// across all morsel workers (materialising each edge's value pairs is an
-/// ancestor×descendant document scan, far too expensive to repeat per
-/// morsel). Empty per-level vectors when `enabled` is false.
-pub(crate) fn build_ad_checks(
+/// triggered at the level where the later endpoint binds. Each edge's value
+/// pairs come from an ancestor×descendant document scan, so they are
+/// materialised once per query, before expansion, and only probed per
+/// candidate. Empty per-level vectors when `enabled` is false.
+fn build_ad_checks(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
     order: &[Attr],
@@ -141,34 +111,26 @@ pub(crate) fn build_ad_checks(
     ad_checks
 }
 
-/// The level-wise XJoin body over pre-built A-D checks (see
-/// [`build_ad_checks`]); per-twig validators are constructed per call — they
-/// carry per-check scratch and a work counter and cannot be shared across
-/// threads. The output projection is checked here, once, before any
-/// expansion work.
-///
-/// The expansion only considers first-variable candidates inside `root`,
-/// making the run an independent morsel of the full join. Over a disjoint
-/// cover of the value space, per-stage intermediate counts (and results)
-/// partition exactly — summing each stage across morsels reproduces the
-/// unrestricted run's Lemma 3.5 series. The morsel scheduler in
-/// [`crate::morsel`] shares one set of A-D checks across morsels and passes
-/// a projection-free query and empty `atom_sizes`, so each morsel reports
-/// only its own expansion stages.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn xjoin_with_plan_body(
+/// Executes XJoin over an already-assembled [`JoinPlan`] (whose tries may
+/// come from a shared cache — see the `xjoin-store` crate). The plan's order
+/// must cover the query's variables; `atom_sizes` / `first_path_atom`
+/// describe the plan's atoms as [`Atoms::sizes`] /
+/// [`Atoms::first_path_atom`] would. The output projection is checked
+/// first, before any expansion work. `stats.elapsed` covers execution over
+/// the given plan only — trie construction is the caller's (typically a
+/// cache's) concern.
+pub fn xjoin_with_plan(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
     cfg: &XJoinConfig,
     plan: &JoinPlan,
     atom_sizes: Vec<(String, usize)>,
     first_path_atom: usize,
-    root: &ValueRange,
-    ad_checks: &[Vec<AdCheck>],
 ) -> Result<QueryOutput> {
     let start = Instant::now();
     let order: Vec<Attr> = plan.order().to_vec();
     validate_output(query, &order)?;
+    let ad_checks = build_ad_checks(ctx, query, &order, cfg.ad_filter);
     let mut stats = JoinStats::default();
     for (name, size) in atom_sizes.iter().skip(first_path_atom) {
         stats.record(format!("materialise {name}"), *size);
@@ -184,7 +146,7 @@ pub(crate) fn xjoin_with_plan_body(
     // "Filter E by satisfying relation between p and A": the cut A-D edges
     // and (optionally) partial structure validation.
     let mut cand: Vec<ValueId> = Vec::with_capacity(order.len());
-    let (tuples, count, expansion) = levelwise_expand(plan, root, |d, prefix, v| {
+    let (tuples, count, expansion) = levelwise_expand(plan, |d, prefix, v| {
         for (pa, pd, set) in &ad_checks[d] {
             let va = if *pa == d { v } else { prefix[*pa] };
             let vd = if *pd == d { v } else { prefix[*pd] };
@@ -230,7 +192,6 @@ pub(crate) fn xjoin_with_plan_body(
         stats,
         order,
         atom_sizes,
-        engine: EngineKind::XJoin,
     })
 }
 

@@ -20,8 +20,6 @@ pub enum CoreError {
     /// An output attribute references no variable of the query. Raised at
     /// resolve/prepare time, before any trie is built.
     UnknownAttribute(String),
-    /// The requested operation is not available for the chosen engine.
-    Unsupported(String),
 }
 
 impl fmt::Display for CoreError {
@@ -36,7 +34,6 @@ impl fmt::Display for CoreError {
             CoreError::UnknownAttribute(a) => {
                 write!(f, "output attribute `{a}` is not a variable of the query")
             }
-            CoreError::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
     }
 }
@@ -80,8 +77,6 @@ mod tests {
         assert!(e.to_string().contains("missing x"));
         let e = CoreError::UnknownAttribute("zz".into());
         assert!(e.to_string().contains("zz"));
-        let e = CoreError::Unsupported("no plan".into());
-        assert!(e.to_string().contains("no plan"));
         assert!(!CoreError::EmptyQuery.to_string().is_empty());
     }
 }

@@ -2,29 +2,30 @@
 //! query on **any** join engine.
 //!
 //! Historically every engine had its own entry point, configuration, and
-//! output type (`xjoin`, the callback-only `xjoin_stream`, `baseline` with
-//! `BaselineConfig`, and the relational crate's `lftj_join` /
-//! `generic_join` / `multiway_hash_join`). This module folds them behind
-//! three pieces:
+//! output type (`xjoin`, the callback-only `xjoin_stream`, and the
+//! relational crate's `lftj_join` / `generic_join`). This module folds the
+//! four engines that run from a trie [`JoinPlan`] behind three pieces:
 //!
 //! * [`EngineKind`] + [`ExecOptions`] — *what* to run and *how*: the engine
 //!   selector, the variable-order strategy, the optional XJoin filters, and
 //!   a `limit`;
-//! * [`Engine`] — the `prepare` / `execute` / `stream` contract every engine
-//!   implements. `prepare` validates (unknown relations, bad orders,
-//!   unknown output attributes) *before any trie is built*; `execute`
-//!   materialises one [`QueryOutput`]; `stream` returns a pull-based
-//!   [`Rows`] iterator (engines that cannot stream lazily materialise
-//!   first — only their `Rows` wrapper differs, never the result set);
+//! * the free functions [`execute`] / [`stream`] / [`execute_with_plan`] —
+//!   resolve (unknown relations, bad orders, unknown output attributes all
+//!   error *before any trie is built*), build or take a trie plan, and run
+//!   the selected engine: `execute` materialises one [`QueryOutput`],
+//!   `stream` returns a pull-based [`Rows`] iterator (engines that cannot
+//!   stream lazily materialise first — only their `Rows` wrapper differs,
+//!   never the result set);
 //! * [`QueryBuilder`] / [`Query`] — one construction surface for MMQL text
 //!   and programmatic queries, carrying the options alongside the query.
 //!
 //! Every engine returns the same result *set* on the same query (the
 //! `engine_equivalence` and `exec_api` integration suites enforce this);
 //! they differ in intermediate behaviour: the level-wise engines obey the
-//! paper's Lemma 3.5 per-prefix bounds, the streaming engines enumerate in
-//! constant memory with true `LIMIT` pushdown, and the baseline exhibits
-//! exactly the per-model blow-up the paper measures.
+//! paper's Lemma 3.5 per-prefix bounds and the streaming engine enumerates
+//! in constant memory with true `LIMIT` pushdown. The paper's per-model
+//! baseline, which does not run from a trie plan, is called directly as
+//! [`crate::baseline()`].
 //!
 //! ```
 //! use relational::{Database, Schema, Value};
@@ -54,27 +55,24 @@
 //! ```
 
 use crate::atoms::{collect_atoms, Atoms};
-use crate::baseline::{baseline, BaselineConfig, RelAlg, XmlAlg};
 use crate::engine::{xjoin_with_plan, XJoinConfig};
 use crate::error::{CoreError, Result};
 use crate::mmql::parse_query_with_options;
-use crate::morsel::{execute_parallel, Parallelism};
 use crate::order::{compute_order, OrderStrategy};
-use crate::query::{variables_of, DataContext, MultiModelQuery, RelAtom, Term};
+use crate::query::{DataContext, MultiModelQuery, RelAtom, Term};
 use crate::stream::{stream_with_plan, Rows};
 use crate::validate::TwigValidator;
 use relational::generic::levelwise_join;
-use relational::hashjoin::multiway_hash_join;
-use relational::lftj::lftj_in_range_counted;
-use relational::{Attr, JoinPlan, JoinStats, Relation, ValueRange};
+use relational::lftj::lftj_counted;
+use relational::{Attr, JoinPlan, JoinStats, Relation};
 use std::fmt;
 use std::time::Instant;
 use xmldb::TwigPattern;
 
 /// Selects which join engine executes a query. Every kind accepts the full
-/// multi-model query language: the relational engines run over the same
-/// lowered atom set (tables ∪ twig path relations) as XJoin, followed by
-/// the same twig-structure validation.
+/// multi-model query language and runs from a trie [`JoinPlan`] over the
+/// same lowered atom set (tables ∪ twig path relations), followed by the
+/// same twig-structure validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The paper's Algorithm 1: level-wise worst-case optimal XJoin,
@@ -93,74 +91,39 @@ pub enum EngineKind {
     /// The relational crate's level-wise generic join over the lowered
     /// atoms (no A-D filtering / partial validation), then validation.
     Generic,
-    /// Classical pairwise hash joins along a greedy left-deep plan over the
-    /// lowered atoms, then validation. Not worst-case optimal — included as
-    /// the conventional comparator.
-    HashJoin,
-    /// The paper's per-model baseline: Q1 with a relational engine, Q2 per
-    /// twig with an XML engine, merged at the value level.
-    Baseline {
-        /// Engine for the relational part.
-        rel_alg: RelAlg,
-        /// Engine for each twig.
-        xml_alg: XmlAlg,
-    },
 }
 
 impl EngineKind {
-    /// Every engine kind, baseline `RelAlg`×`XmlAlg` combinations included
-    /// (the cross-engine equivalence tests sweep this list).
-    pub fn all() -> Vec<EngineKind> {
-        let mut kinds = vec![
+    /// Every engine kind (the cross-engine equivalence tests sweep this
+    /// list).
+    pub fn all() -> [EngineKind; 4] {
+        [
             EngineKind::XJoin,
             EngineKind::XJoinStream,
             EngineKind::Lftj,
             EngineKind::Generic,
-            EngineKind::HashJoin,
-        ];
-        for rel_alg in [RelAlg::Hash, RelAlg::Lftj] {
-            for xml_alg in [XmlAlg::TwigStack, XmlAlg::Navigational, XmlAlg::Tjfast] {
-                kinds.push(EngineKind::Baseline { rel_alg, xml_alg });
-            }
-        }
-        kinds
-    }
-
-    /// Whether this engine executes from a pre-assembled trie [`JoinPlan`]
-    /// (and can therefore be served by the `xjoin-store` cache). The
-    /// baseline and the hash join consume raw relations instead.
-    pub fn is_plan_based(&self) -> bool {
-        matches!(
-            self,
-            EngineKind::XJoin | EngineKind::XJoinStream | EngineKind::Lftj | EngineKind::Generic
-        )
+        ]
     }
 }
 
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::XJoin => write!(f, "xjoin"),
-            EngineKind::XJoinStream => write!(f, "xjoin-stream"),
-            EngineKind::Lftj => write!(f, "lftj"),
-            EngineKind::Generic => write!(f, "generic"),
-            EngineKind::HashJoin => write!(f, "hash"),
-            EngineKind::Baseline { rel_alg, xml_alg } => {
-                write!(f, "baseline({rel_alg:?},{xml_alg:?})")
-            }
-        }
+        f.write_str(match self {
+            EngineKind::XJoin => "xjoin",
+            EngineKind::XJoinStream => "xjoin-stream",
+            EngineKind::Lftj => "lftj",
+            EngineKind::Generic => "generic",
+        })
     }
 }
 
 /// Everything about *how* to run a query, engine choice included — the
-/// union of the historical `XJoinConfig` / `BaselineConfig` knobs plus
-/// `limit`, under one roof.
+/// historical `XJoinConfig` knobs plus `limit`, under one roof.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Which engine runs the query.
     pub engine: EngineKind,
-    /// Variable expansion priority (the paper's `PA`); ignored by the
-    /// baseline, which has no global order.
+    /// Variable expansion priority (the paper's `PA`).
     pub order: OrderStrategy,
     /// Validate twig structure incrementally during expansion
     /// ([`EngineKind::XJoin`] only).
@@ -168,23 +131,10 @@ pub struct ExecOptions {
     /// Prune candidates via cut A-D edge value pairs
     /// ([`EngineKind::XJoin`] only).
     pub ad_filter: bool,
-    /// Stop after this many result rows. Streaming engines push the limit
-    /// into the trie walk; materialising engines truncate their result —
-    /// and under parallel execution, workers observe the emitted-row count
-    /// and abandon their walks once the limit is reached.
+    /// Stop after this many result rows. The streaming engine pushes the
+    /// limit into the trie walk; materialising engines truncate their
+    /// result.
     pub limit: Option<usize>,
-    /// Intra-query parallelism of the plan-based engines: the top join
-    /// attribute's value domain is split into morsels executed on a thread
-    /// pool (see [`crate::morsel`]). Ignored by the baseline and the hash
-    /// join, which always run serially. Results are identical to serial
-    /// execution whatever the setting.
-    pub parallelism: Parallelism,
-    /// Allow a parallel [`Rows`] stream to yield tuples in worker arrival
-    /// order instead of the deterministic serial order (morsels concatenated
-    /// in domain order). Only observable with
-    /// [`EngineKind::XJoinStream`]'s streaming path under parallel
-    /// execution; materialised outputs always merge deterministically.
-    pub unordered: bool,
 }
 
 impl ExecOptions {
@@ -206,7 +156,7 @@ impl ExecOptions {
     }
 }
 
-/// The one output type every engine returns.
+/// The one output type every engine (and [`crate::baseline()`]) returns.
 #[derive(Debug)]
 pub struct QueryOutput {
     /// The query result (schema = output attributes, or the full variable
@@ -220,12 +170,10 @@ pub struct QueryOutput {
     /// `(name, cardinality)` of every lowered atom, path relations included
     /// (empty for the baseline, which does not lower twigs).
     pub atom_sizes: Vec<(String, usize)>,
-    /// The engine that produced this output.
-    pub engine: EngineKind,
 }
 
 /// An engine-agnostic description of a validated, resolvable query — what
-/// [`Engine::prepare`] returns. Producing one proves the query will not fail
+/// [`Query::prepare`] returns. Producing one proves the query will not fail
 /// resolution: relations exist, terms match arities, the order covers every
 /// variable, and all output attributes are query variables.
 #[derive(Debug, Clone)]
@@ -238,53 +186,6 @@ pub struct ExecPlan {
     pub atom_sizes: Vec<(String, usize)>,
     /// The validated output projection (`None` = all variables).
     pub output: Option<Vec<Attr>>,
-}
-
-/// The contract every join engine implements. Obtain an implementation via
-/// [`engine_for`], or skip the trait entirely with the [`execute`] /
-/// [`stream`] free functions (or [`Query::execute`] / [`Query::rows`]).
-pub trait Engine {
-    /// Which [`EngineKind`] this engine is.
-    fn kind(&self) -> EngineKind;
-
-    /// Resolves and validates the query without executing it: unknown
-    /// relations, arity mismatches, unusable orders, and unknown output
-    /// attributes all error **here**, before any trie is built.
-    fn prepare(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<ExecPlan> {
-        let (atoms, order) = resolve(ctx, query, opts)?;
-        Ok(ExecPlan {
-            engine: self.kind(),
-            order,
-            atom_sizes: atoms.sizes(),
-            output: query.output.clone(),
-        })
-    }
-
-    /// Runs the query to completion, materialising one [`QueryOutput`].
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput>;
-
-    /// Returns a pull-based [`Rows`] iterator over the query's results.
-    /// The default materialises via [`Engine::execute`] and iterates the
-    /// buffer; streaming engines override this with true lazy enumeration.
-    fn stream<'a>(
-        &self,
-        ctx: &DataContext<'a>,
-        query: &'a MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<Rows<'a>> {
-        let out = self.execute(ctx, query, opts)?;
-        Ok(Rows::from_relation(out.results, out.order))
-    }
 }
 
 /// Checks that every output attribute is a query variable. Engines (and
@@ -322,12 +223,20 @@ fn resolve<'a>(
     Ok((atoms, order))
 }
 
-/// Shared back half for the relational engines: validate twig structure on
-/// the full-width result, project, apply the limit, and assemble the
-/// [`QueryOutput`]. `rel`'s schema must be laid out per `order`. The morsel
-/// scheduler reuses it to merge parallel runs identically to serial ones.
+/// Builds a fresh trie plan for the resolved atoms under `order`.
+fn fresh_plan(atoms: &Atoms<'_>, order: &[Attr], opts: &ExecOptions) -> Result<JoinPlan> {
+    let mut span = xjoin_obs::span("plan-build");
+    let plan = JoinPlan::new(&atoms.rel_refs(), order)?.with_ladder(opts.order.ladder());
+    span.set_attr(|| format!("tries_built={}", plan.tries_built()));
+    Ok(plan)
+}
+
+/// Shared back half of the LFTJ and generic engines: validate twig
+/// structure on the full-width result, project, apply the limit, and
+/// assemble the [`QueryOutput`]. `rel`'s schema must be laid out per
+/// `order`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish(
+fn finish(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
     order: Vec<Attr>,
@@ -335,7 +244,6 @@ pub(crate) fn finish(
     mut stats: JoinStats,
     atom_sizes: Vec<(String, usize)>,
     opts: &ExecOptions,
-    engine: EngineKind,
     start: Instant,
 ) -> Result<QueryOutput> {
     if !query.twigs.is_empty() {
@@ -366,17 +274,15 @@ pub(crate) fn finish(
         stats,
         order,
         atom_sizes,
-        engine,
     })
 }
 
 /// Drains a walk-backed [`Rows`] into a materialised [`QueryOutput`] — the
-/// shared execute path of the streaming engine, plan-assembled or not.
-pub(crate) fn drain_rows(
+/// execute path of the streaming engine.
+fn drain_rows(
     mut rows: Rows<'_>,
     order: Vec<Attr>,
     atom_sizes: Vec<(String, usize)>,
-    engine: EngineKind,
     start: Instant,
 ) -> Result<QueryOutput> {
     let mut rel = Relation::new(rows.schema().clone());
@@ -396,39 +302,28 @@ pub(crate) fn drain_rows(
         stats,
         order,
         atom_sizes,
-        engine,
     })
 }
 
-/// The shared execute body of every plan-based engine: resolve, build a
-/// fresh trie plan, and delegate to [`execute_with_plan`] (so the per-kind
-/// wiring exists exactly once). `stats.elapsed` is restamped to cover the
-/// whole run — lowering and trie construction included — and
-/// `stats.build_elapsed` / `stats.tries_built` carry the plan's
-/// trie-construction bill so callers can split cold latency into build vs
-/// probe.
-fn execute_fresh_plan(
+/// Executes `query` on the engine selected by `opts` — the single blessed
+/// entry point for one-shot execution: resolve, build a fresh trie plan,
+/// and delegate to [`execute_with_plan`] (so the per-kind wiring exists
+/// exactly once). `stats.elapsed` covers the whole run — lowering and trie
+/// construction included — and `stats.build_elapsed` / `stats.tries_built`
+/// carry the plan's trie-construction bill so callers can split cold
+/// latency into build vs probe.
+pub fn execute(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
     opts: &ExecOptions,
-    kind: EngineKind,
 ) -> Result<QueryOutput> {
     let start = Instant::now();
-    let opts = ExecOptions {
-        engine: kind,
-        ..opts.clone()
-    };
-    let (atoms, order) = resolve(ctx, query, &opts)?;
-    let plan = {
-        let mut span = xjoin_obs::span("plan-build");
-        let plan = JoinPlan::new(&atoms.rel_refs(), &order)?.with_ladder(opts.order.ladder());
-        span.set_attr(|| format!("tries_built={}", plan.tries_built()));
-        plan
-    };
+    let (atoms, order) = resolve(ctx, query, opts)?;
+    let plan = fresh_plan(&atoms, &order, opts)?;
     let mut out = execute_with_plan(
         ctx,
         query,
-        &opts,
+        opts,
         &plan,
         atoms.sizes(),
         atoms.first_path_atom,
@@ -440,253 +335,28 @@ fn execute_fresh_plan(
     Ok(out)
 }
 
-/// Truncates a materialised output to the options' limit.
-fn apply_limit(out: &mut QueryOutput, opts: &ExecOptions) {
-    if let Some(k) = opts.limit {
-        if out.results.len() > k {
-            out.results.truncate(k);
-            out.stats.output_rows = out.results.len();
-        }
-    }
-}
-
-/// The level-wise XJoin engine ([`EngineKind::XJoin`], Algorithm 1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LevelWiseXJoin;
-
-impl Engine for LevelWiseXJoin {
-    fn kind(&self) -> EngineKind {
-        EngineKind::XJoin
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-}
-
-/// The depth-first streaming XJoin engine ([`EngineKind::XJoinStream`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamingXJoin;
-
-impl Engine for StreamingXJoin {
-    fn kind(&self) -> EngineKind {
-        EngineKind::XJoinStream
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-
-    fn stream<'a>(
-        &self,
-        ctx: &DataContext<'a>,
-        query: &'a MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<Rows<'a>> {
-        let (atoms, order) = resolve(ctx, query, opts)?;
-        let plan = {
-            let _span = xjoin_obs::span("plan-build");
-            JoinPlan::new(&atoms.rel_refs(), &order)?.with_ladder(opts.order.ladder())
-        };
-        stream_with_plan(ctx, query, plan, opts)
-    }
-}
-
-/// Raw LFTJ over the lowered atoms ([`EngineKind::Lftj`]): enumerate fully,
-/// then validate.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LftjEngine;
-
-impl Engine for LftjEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lftj
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-}
-
-/// The relational level-wise generic join ([`EngineKind::Generic`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GenericEngine;
-
-impl Engine for GenericEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Generic
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        execute_fresh_plan(ctx, query, opts, self.kind())
-    }
-}
-
-/// Pairwise hash joins over the lowered atoms ([`EngineKind::HashJoin`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashJoinEngine;
-
-impl Engine for HashJoinEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::HashJoin
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        let start = Instant::now();
-        let (atoms, order) = resolve(ctx, query, opts)?;
-        let atom_sizes = atoms.sizes();
-        let refs = atoms.rel_refs();
-        let (joined, mut stats) = multiway_hash_join(&refs)?;
-        // Reorder the natural-join layout into the global order so the
-        // shared validation/projection back half applies.
-        let full = joined.project(&order)?;
-        stats.record("reorder to global order", full.len());
-        finish(
-            ctx,
-            query,
-            order,
-            full,
-            stats,
-            atom_sizes,
-            opts,
-            self.kind(),
-            start,
-        )
-    }
-}
-
-/// The paper's per-model baseline ([`EngineKind::Baseline`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineEngine {
-    /// Which relational / XML engine combination to run.
-    pub config: BaselineConfig,
-}
-
-impl Engine for BaselineEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Baseline {
-            rel_alg: self.config.rel_alg,
-            xml_alg: self.config.xml_alg,
-        }
-    }
-
-    /// The baseline never lowers twigs to path relations, so its prepare
-    /// skips the default's lowering too: resolve the relational atoms,
-    /// union in the twig variables, and validate the projection — no
-    /// per-path document scans.
-    fn prepare(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        _opts: &ExecOptions,
-    ) -> Result<ExecPlan> {
-        if query.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        let resolved = ctx.resolve_atoms(query)?;
-        let vars = variables_of(&resolved, &query.twigs);
-        if vars.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        validate_output(query, &vars)?;
-        let atom_sizes = query
-            .relations
-            .iter()
-            .zip(&resolved)
-            .map(|(atom, rel)| (atom.name.clone(), rel.rel().len()))
-            .collect();
-        Ok(ExecPlan {
-            engine: self.kind(),
-            order: vars,
-            atom_sizes,
-            output: query.output.clone(),
-        })
-    }
-
-    fn execute(
-        &self,
-        ctx: &DataContext<'_>,
-        query: &MultiModelQuery,
-        opts: &ExecOptions,
-    ) -> Result<QueryOutput> {
-        let mut out = baseline(ctx, query, &self.config)?;
-        apply_limit(&mut out, opts);
-        Ok(out)
-    }
-}
-
-/// Returns the engine implementing `kind`.
-pub fn engine_for(kind: EngineKind) -> Box<dyn Engine> {
-    match kind {
-        EngineKind::XJoin => Box::new(LevelWiseXJoin),
-        EngineKind::XJoinStream => Box::new(StreamingXJoin),
-        EngineKind::Lftj => Box::new(LftjEngine),
-        EngineKind::Generic => Box::new(GenericEngine),
-        EngineKind::HashJoin => Box::new(HashJoinEngine),
-        EngineKind::Baseline { rel_alg, xml_alg } => Box::new(BaselineEngine {
-            config: BaselineConfig { rel_alg, xml_alg },
-        }),
-    }
-}
-
-/// Executes `query` on the engine selected by `opts` — the single blessed
-/// entry point for one-shot execution.
-pub fn execute(
-    ctx: &DataContext<'_>,
-    query: &MultiModelQuery,
-    opts: &ExecOptions,
-) -> Result<QueryOutput> {
-    engine_for(opts.engine).execute(ctx, query, opts)
-}
-
 /// Streams `query` on the engine selected by `opts`, returning the
-/// pull-based [`Rows`] iterator.
+/// pull-based [`Rows`] iterator. [`EngineKind::XJoinStream`] walks the trie
+/// plan lazily (with `limit` pushed into the walk); the other kinds
+/// materialise via [`execute`] and iterate the buffer.
 pub fn stream<'a>(
     ctx: &DataContext<'a>,
     query: &'a MultiModelQuery,
     opts: &ExecOptions,
 ) -> Result<Rows<'a>> {
-    engine_for(opts.engine).stream(ctx, query, opts)
+    if opts.engine == EngineKind::XJoinStream {
+        let (atoms, order) = resolve(ctx, query, opts)?;
+        let plan = fresh_plan(&atoms, &order, opts)?;
+        return stream_with_plan(ctx, query, plan, opts);
+    }
+    let out = execute(ctx, query, opts)?;
+    Ok(Rows::from_relation(out.results, out.order))
 }
 
-/// Executes a **plan-based** engine over an already-assembled [`JoinPlan`]
-/// (whose tries typically come from the `xjoin-store` cache). Supports
-/// exactly the kinds for which [`EngineKind::is_plan_based`] is true; the
-/// baseline and the hash join error with [`CoreError::Unsupported`] since
-/// they do not consume trie plans. `atom_sizes` / `first_path_atom`
-/// describe the plan's atoms as [`Atoms::sizes`] /
-/// [`Atoms::first_path_atom`] would.
-///
-/// When [`ExecOptions::parallelism`] resolves to more than one worker, the
-/// execution routes through the morsel scheduler (see [`crate::morsel`]):
-/// the first variable's domain is partitioned and each part runs as an
-/// independent sub-join on a thread pool, with per-morsel outputs (and
-/// per-stage stats) merged in domain order — results are identical to a
-/// serial run. Zero-variable plans always run serially.
+/// Executes the selected engine over an already-assembled [`JoinPlan`]
+/// (whose tries typically come from the `xjoin-store` cache).
+/// `atom_sizes` / `first_path_atom` describe the plan's atoms as
+/// [`Atoms::sizes`] / [`Atoms::first_path_atom`] would.
 pub fn execute_with_plan(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
@@ -698,10 +368,6 @@ pub fn execute_with_plan(
     let start = Instant::now();
     let mut exec_span = xjoin_obs::span("execute");
     exec_span.set_attr(|| opts.engine.to_string());
-    if opts.engine.is_plan_based() && opts.parallelism.workers() > 1 && !plan.var_plans().is_empty()
-    {
-        return execute_parallel(ctx, query, opts, plan, atom_sizes, first_path_atom);
-    }
     match opts.engine {
         EngineKind::XJoin => {
             let mut out = xjoin_with_plan(
@@ -712,52 +378,36 @@ pub fn execute_with_plan(
                 atom_sizes,
                 first_path_atom,
             )?;
-            apply_limit(&mut out, opts);
+            if let Some(k) = opts.limit {
+                if out.results.len() > k {
+                    out.results.truncate(k);
+                    out.stats.output_rows = k;
+                }
+            }
             Ok(out)
         }
         EngineKind::XJoinStream => {
             let rows = Rows::from_walk(ctx, query, plan.clone(), opts.limit)?;
-            drain_rows(rows, plan.order().to_vec(), atom_sizes, opts.engine, start)
+            drain_rows(rows, plan.order().to_vec(), atom_sizes, start)
         }
         EngineKind::Lftj => {
             validate_output(query, plan.order())?;
-            let (raw, counters) = lftj_in_range_counted(plan, &ValueRange::all());
+            let (raw, counters) = lftj_counted(plan);
             let mut stats = JoinStats {
                 reorders: counters.reorders,
                 estimate_probes: counters.estimate_probes,
                 ..JoinStats::default()
             };
             stats.record("lftj enumerate", raw.len());
-            finish(
-                ctx,
-                query,
-                plan.order().to_vec(),
-                raw,
-                stats,
-                atom_sizes,
-                opts,
-                opts.engine,
-                start,
-            )
+            let order = plan.order().to_vec();
+            finish(ctx, query, order, raw, stats, atom_sizes, opts, start)
         }
         EngineKind::Generic => {
             validate_output(query, plan.order())?;
             let (raw, stats) = levelwise_join(plan);
-            finish(
-                ctx,
-                query,
-                plan.order().to_vec(),
-                raw,
-                stats,
-                atom_sizes,
-                opts,
-                opts.engine,
-                start,
-            )
+            let order = plan.order().to_vec();
+            finish(ctx, query, order, raw, stats, atom_sizes, opts, start)
         }
-        kind @ (EngineKind::HashJoin | EngineKind::Baseline { .. }) => Err(CoreError::Unsupported(
-            format!("engine `{kind}` does not execute from a trie plan"),
-        )),
     }
 }
 
@@ -882,24 +532,10 @@ impl QueryBuilder {
         self
     }
 
-    /// Stops after `k` result rows (pushed into the trie walk by streaming
-    /// engines).
+    /// Stops after `k` result rows (pushed into the trie walk by the
+    /// streaming engine).
     pub fn limit(mut self, k: usize) -> Self {
         self.options.limit = Some(k);
-        self
-    }
-
-    /// Sets the intra-query parallelism of the plan-based engines (see
-    /// [`Parallelism`]).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.options.parallelism = parallelism;
-        self
-    }
-
-    /// Allows a parallel stream to yield rows in worker arrival order
-    /// instead of the deterministic serial order.
-    pub fn unordered(mut self, on: bool) -> Self {
-        self.options.unordered = on;
         self
     }
 
@@ -936,10 +572,17 @@ pub struct Query {
 }
 
 impl Query {
-    /// Validates the query against `ctx` without executing (see
-    /// [`Engine::prepare`]).
+    /// Resolves and validates the query against `ctx` without executing it:
+    /// unknown relations, arity mismatches, unusable orders, and unknown
+    /// output attributes all error **here**, before any trie is built.
     pub fn prepare(&self, ctx: &DataContext<'_>) -> Result<ExecPlan> {
-        engine_for(self.options.engine).prepare(ctx, &self.query, &self.options)
+        let (atoms, order) = resolve(ctx, &self.query, &self.options)?;
+        Ok(ExecPlan {
+            engine: self.options.engine,
+            order,
+            atom_sizes: atoms.sizes(),
+            output: self.query.output.clone(),
+        })
     }
 
     /// Runs the query to completion on the selected engine.
@@ -1002,7 +645,6 @@ mod tests {
                 out.results.set_eq(&reference.results),
                 "engine {kind} diverged"
             );
-            assert_eq!(out.engine, kind);
         }
     }
 
@@ -1015,19 +657,19 @@ mod tests {
             .unwrap()
             .with_output(&["nonexistent"]);
         for kind in EngineKind::all() {
-            let engine = engine_for(kind);
+            let q = QueryBuilder::from_query(query.clone())
+                .engine(kind)
+                .build()
+                .unwrap();
             assert!(
                 matches!(
-                    engine.prepare(&ctx, &query, &ExecOptions::for_engine(kind)),
+                    q.prepare(&ctx),
                     Err(CoreError::UnknownAttribute(a)) if a == "nonexistent"
                 ),
                 "engine {kind} did not reject at prepare"
             );
             assert!(
-                matches!(
-                    engine.execute(&ctx, &query, &ExecOptions::for_engine(kind)),
-                    Err(CoreError::UnknownAttribute(_))
-                ),
+                matches!(q.execute(&ctx), Err(CoreError::UnknownAttribute(_))),
                 "engine {kind} did not reject at execute"
             );
         }
@@ -1051,72 +693,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_matches_serial_for_every_plan_based_kind() {
-        let (db, doc) = bookstore();
-        let idx = TagIndex::build(&doc);
-        let ctx = DataContext::new(&db, &doc, &idx);
-        let query = MultiModelQuery::new(&["R"], &["//line[/orderID][/price]"])
-            .unwrap()
-            .with_output(&["userID", "price"]);
-        for kind in EngineKind::all().into_iter().filter(|k| k.is_plan_based()) {
-            let serial = execute(&ctx, &query, &ExecOptions::for_engine(kind)).unwrap();
-            let parallel = execute(
-                &ctx,
-                &query,
-                &ExecOptions {
-                    engine: kind,
-                    parallelism: Parallelism::Threads(3),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert!(
-                parallel.results.set_eq(&serial.results),
-                "engine {kind} diverged under parallel execution"
-            );
-            assert_eq!(parallel.results.len(), serial.results.len());
-            assert_eq!(
-                parallel.stats.max_intermediate(),
-                serial.stats.max_intermediate(),
-                "engine {kind}: summed morsel stages must equal serial stages"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_limit_truncates_like_serial() {
-        let (db, doc) = bookstore();
-        let idx = TagIndex::build(&doc);
-        let ctx = DataContext::new(&db, &doc, &idx);
-        let query = MultiModelQuery::new(&["R"], &[]).unwrap();
-        for kind in EngineKind::all().into_iter().filter(|k| k.is_plan_based()) {
-            let opts = ExecOptions {
-                engine: kind,
-                parallelism: Parallelism::Threads(2),
-                limit: Some(2),
-                ..Default::default()
-            };
-            let out = execute(&ctx, &query, &opts).unwrap();
-            assert_eq!(out.results.len(), 2, "engine {kind}");
-        }
-    }
-
-    #[test]
-    fn plan_based_engines_report_trie_build_cost() {
+    fn every_engine_reports_trie_build_cost() {
         let (db, doc) = bookstore();
         let idx = TagIndex::build(&doc);
         let ctx = DataContext::new(&db, &doc, &idx);
         let query = MultiModelQuery::new(&["R"], &["//line[/orderID][/price]"]).unwrap();
         for kind in EngineKind::all() {
             let out = execute(&ctx, &query, &ExecOptions::for_engine(kind)).unwrap();
-            if kind.is_plan_based() {
-                // One trie per lowered atom, and the build time is part of
-                // (hence bounded by) the total elapsed time.
-                assert_eq!(out.stats.tries_built, out.atom_sizes.len(), "{kind}");
-                assert!(out.stats.build_elapsed <= out.stats.elapsed, "{kind}");
-            } else {
-                assert_eq!(out.stats.tries_built, 0, "{kind}");
-            }
+            // One trie per lowered atom, and the build time is part of
+            // (hence bounded by) the total elapsed time.
+            assert_eq!(out.stats.tries_built, out.atom_sizes.len(), "{kind}");
+            assert!(out.stats.build_elapsed <= out.stats.elapsed, "{kind}");
         }
     }
 
@@ -1168,20 +755,6 @@ mod tests {
         assert_eq!(plan.output, Some(vec![Attr::new("userID")]));
         assert!(plan.order.len() >= 3);
         assert!(!plan.atom_sizes.is_empty());
-    }
-
-    #[test]
-    fn plan_based_kinds_are_classified() {
-        assert!(EngineKind::XJoin.is_plan_based());
-        assert!(EngineKind::XJoinStream.is_plan_based());
-        assert!(EngineKind::Lftj.is_plan_based());
-        assert!(EngineKind::Generic.is_plan_based());
-        assert!(!EngineKind::HashJoin.is_plan_based());
-        assert!(!EngineKind::Baseline {
-            rel_alg: RelAlg::Hash,
-            xml_alg: XmlAlg::TwigStack
-        }
-        .is_plan_based());
     }
 
     #[test]

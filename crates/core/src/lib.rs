@@ -20,11 +20,11 @@
 //! * [`validate`] — the final (and partial) twig-structure validation;
 //! * [`mod@stream`] — the pull-based [`Rows`] iterator: depth-first (LFTJ-style)
 //!   enumeration without materialised intermediates, with `LIMIT` pushdown;
-//! * [`exec`] — **the unified execution API**: every engine (level-wise
-//!   XJoin, streaming XJoin, baseline combinations, LFTJ, generic, hash)
-//!   behind one [`Engine`] trait, selected by [`EngineKind`], configured by
-//!   [`ExecOptions`], built via [`QueryBuilder`], returning one
-//!   [`QueryOutput`];
+//! * [`exec`] — **the unified execution API**: the four engines that run
+//!   from a trie plan (level-wise XJoin, streaming XJoin, LFTJ, generic)
+//!   behind the [`execute`] / [`stream()`] functions, selected by
+//!   [`EngineKind`], configured by [`ExecOptions`], built via
+//!   [`QueryBuilder`], returning one [`QueryOutput`];
 //! * [`mmql`] — a datalog-style surface syntax
 //!   (`Q(x,y) :- R(x,y), //twig`), with constants and intra-atom equalities;
 //! * [`mod@explain`] — `EXPLAIN`: lowered atoms, chosen order, per-prefix bounds.
@@ -63,7 +63,6 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod mmql;
-pub mod morsel;
 pub mod order;
 pub mod query;
 pub mod stream;
@@ -75,15 +74,14 @@ pub use bounds::{mixed_hypergraph, prefix_bounds, query_bound, query_exponent, q
 pub use engine::{lower, xjoin, xjoin_with_plan, XJoinConfig};
 pub use error::{CoreError, Result};
 pub use exec::{
-    engine_for, execute, execute_with_plan, stream, validate_output, Engine, EngineKind,
-    ExecOptions, ExecPlan, Query, QueryBuilder, QueryOutput,
+    execute, execute_with_plan, stream, validate_output, EngineKind, ExecOptions, ExecPlan, Query,
+    QueryBuilder, QueryOutput,
 };
 pub use explain::{
     explain, explain_analyze, AdaptiveAnalysis, AnalyzeReport, Explanation, LevelAnalysis,
     TrieBuildProfile,
 };
 pub use mmql::{parse_query, parse_query_with_options};
-pub use morsel::{partition_root, Parallelism};
 pub use order::{compute_order, OrderStrategy};
 pub use query::{
     all_variables, variables_of, DataContext, MultiModelQuery, RelAtom, ResolvedAtom, Term,

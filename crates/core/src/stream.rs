@@ -18,13 +18,12 @@
 //!   and the remaining search space is never visited —
 //!   [`Rows::stats`] exposes the binding counter that proves it.
 //!
-//! Engines that must materialise anyway (level-wise XJoin, the baseline,
-//! hash joins) return a buffered [`Rows`] over their finished result, so
+//! Engines that must materialise anyway (level-wise XJoin, LFTJ, the
+//! generic join) return a buffered [`Rows`] over their finished result, so
 //! every engine presents the same iterator type.
 
 use crate::error::{CoreError, Result};
 use crate::exec::{validate_output, ExecOptions};
-use crate::morsel::ParallelTuples;
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
 use relational::{Attr, JoinPlan, LftjWalk, Relation, Schema, ValueId};
@@ -38,15 +37,6 @@ pub struct RowsStats {
     /// Work the producer actually did: variable bindings made by the trie
     /// walk for streamed rows, or the full buffered size for materialised
     /// rows. A `limit` strictly shrinks this for streamed rows.
-    ///
-    /// **Aggregation under parallel execution is the sum**: for a
-    /// morsel-parallel iterator this is the summed binding counters of all
-    /// worker walks, updated as each worker retires (or abandons) a morsel.
-    /// Because morsels disjointly partition the search space by first
-    /// binding, a fully drained parallel iterator reports exactly the
-    /// serial walk's count; under a `limit`, workers poll the consumer's
-    /// emitted count between tuples, so the counter may include the small
-    /// overshoot bound by the in-flight channel capacity.
     pub visited: u64,
 }
 
@@ -57,12 +47,6 @@ enum Inner<'a> {
     /// A live depth-first trie walk with per-tuple validation.
     Walk {
         walk: Box<LftjWalk>,
-        validators: Vec<TwigValidator<'a>>,
-    },
-    /// Morsel-parallel walks feeding a channel (see [`crate::morsel`]);
-    /// validation/projection/dedup/limit stay on this consumer side.
-    Parallel {
-        source: ParallelTuples,
         validators: Vec<TwigValidator<'a>>,
     },
 }
@@ -98,7 +82,35 @@ impl<'a> Rows<'a> {
         plan: JoinPlan,
         limit: Option<usize>,
     ) -> Result<Rows<'a>> {
-        let (order, validators, schema, projection, seen) = walk_setup(ctx, query, &plan)?;
+        let order = plan.order().to_vec();
+        validate_output(query, &order)?;
+        let validators: Vec<TwigValidator<'a>> = query
+            .twigs
+            .iter()
+            .map(|t| TwigValidator::new(ctx.doc, ctx.index, t, &order))
+            .collect::<Result<_>>()?;
+        let (schema, projection, seen) = match &query.output {
+            None => (
+                Schema::new(order.iter().cloned()).expect("order vars distinct"),
+                None,
+                None,
+            ),
+            Some(out) => {
+                let positions: Vec<usize> = out
+                    .iter()
+                    .map(|a| order.iter().position(|o| o == a).expect("validated above"))
+                    .collect();
+                // Dropping variables can collapse distinct full tuples onto
+                // one projected row; dedup to keep set semantics. A pure
+                // reorder is injective and needs no bookkeeping.
+                let lossy = order.iter().any(|o| !out.contains(o));
+                (
+                    Schema::new(out.iter().cloned()).map_err(CoreError::from)?,
+                    Some(positions),
+                    lossy.then(HashSet::new),
+                )
+            }
+        };
         Ok(Rows {
             schema,
             order,
@@ -108,37 +120,6 @@ impl<'a> Rows<'a> {
             emitted: 0,
             inner: Inner::Walk {
                 walk: Box::new(LftjWalk::new(plan)),
-                validators,
-            },
-        })
-    }
-
-    /// Streams the results of `query` by walking `plan` morsel-parallel on
-    /// `workers` threads (see [`crate::morsel`]). Per-tuple validation, the
-    /// output projection, lossy-projection dedup, and the `limit` all run on
-    /// the consumer side, exactly as in [`Rows::from_walk`]; workers observe
-    /// the emitted-row count through a shared atomic so a `limit` still cuts
-    /// the walks short. With `ordered`, tuples arrive in the serial walk's
-    /// lexicographic order (morsels concatenated in domain order); otherwise
-    /// in arrival order.
-    pub(crate) fn from_parallel(
-        ctx: &DataContext<'a>,
-        query: &'a MultiModelQuery,
-        plan: JoinPlan,
-        limit: Option<usize>,
-        workers: usize,
-        ordered: bool,
-    ) -> Result<Rows<'a>> {
-        let (order, validators, schema, projection, seen) = walk_setup(ctx, query, &plan)?;
-        Ok(Rows {
-            schema,
-            order,
-            projection,
-            seen,
-            limit,
-            emitted: 0,
-            inner: Inner::Parallel {
-                source: ParallelTuples::spawn(&plan, limit, workers, ordered),
                 validators,
             },
         })
@@ -172,14 +153,11 @@ impl<'a> Rows<'a> {
 
     /// Current iteration counters. For walk-backed rows, `visited` is the
     /// number of variable bindings the trie walk has made — compare a
-    /// limited run against a full one to observe `LIMIT` pushdown. For
-    /// morsel-parallel rows it is the **sum** of all worker walks' binding
-    /// counters (see [`RowsStats::visited`] for the exact semantics).
+    /// limited run against a full one to observe `LIMIT` pushdown.
     pub fn stats(&self) -> RowsStats {
         let visited = match &self.inner {
             Inner::Buffered { rel, .. } => rel.len() as u64,
             Inner::Walk { walk, .. } => walk.bindings(),
-            Inner::Parallel { source, .. } => source.visited(),
         };
         RowsStats {
             emitted: self.emitted,
@@ -238,26 +216,6 @@ impl Iterator for Rows<'_> {
                     self.emitted += 1;
                     return Some(row);
                 }
-                Inner::Parallel { source, validators } => {
-                    let tuple = source.next_tuple()?;
-                    if !validators.iter_mut().all(|v| v.check(&tuple)) {
-                        continue;
-                    }
-                    let row: Vec<ValueId> = match &self.projection {
-                        Some(positions) => positions.iter().map(|&p| tuple[p]).collect(),
-                        None => tuple,
-                    };
-                    if let Some(seen) = &mut self.seen {
-                        if !seen.insert(row.clone()) {
-                            continue;
-                        }
-                    }
-                    self.emitted += 1;
-                    // Publish the emitted count so workers can cut off once
-                    // the limit is reached.
-                    source.note_emitted(self.emitted as u64);
-                    return Some(row);
-                }
             }
         }
     }
@@ -274,59 +232,10 @@ impl std::fmt::Debug for Rows<'_> {
                 &match self.inner {
                     Inner::Buffered { .. } => "buffered",
                     Inner::Walk { .. } => "walk",
-                    Inner::Parallel { .. } => "parallel",
                 },
             )
             .finish()
     }
-}
-
-/// The shared front half of the walk-backed constructors: validate the
-/// output projection, build per-twig validators, and derive the yielded
-/// schema, projection positions, and (for lossy projections) the dedup set.
-type WalkSetup<'a> = (
-    Vec<Attr>,
-    Vec<TwigValidator<'a>>,
-    Schema,
-    Option<Vec<usize>>,
-    Option<HashSet<Vec<ValueId>>>,
-);
-
-fn walk_setup<'a>(
-    ctx: &DataContext<'a>,
-    query: &'a MultiModelQuery,
-    plan: &JoinPlan,
-) -> Result<WalkSetup<'a>> {
-    let order = plan.order().to_vec();
-    validate_output(query, &order)?;
-    let validators: Vec<TwigValidator<'a>> = query
-        .twigs
-        .iter()
-        .map(|t| TwigValidator::new(ctx.doc, ctx.index, t, &order))
-        .collect::<Result<_>>()?;
-    let (schema, projection, seen) = match &query.output {
-        None => (
-            Schema::new(order.iter().cloned()).expect("order vars distinct"),
-            None,
-            None,
-        ),
-        Some(out) => {
-            let positions: Vec<usize> = out
-                .iter()
-                .map(|a| order.iter().position(|o| o == a).expect("validated above"))
-                .collect();
-            // Dropping variables can collapse distinct full tuples onto
-            // one projected row; dedup to keep set semantics. A pure
-            // reorder is injective and needs no bookkeeping.
-            let lossy = order.iter().any(|o| !out.contains(o));
-            (
-                Schema::new(out.iter().cloned()).map_err(CoreError::from)?,
-                Some(positions),
-                lossy.then(HashSet::new),
-            )
-        }
-    };
-    Ok((order, validators, schema, projection, seen))
 }
 
 /// Streams the multi-model query depth-first with a fresh plan: lowers the
@@ -348,24 +257,15 @@ pub fn xjoin_rows<'a>(
 
 /// Streams the query over an already-assembled plan (whose tries may come
 /// from a shared cache — see the `xjoin-store` crate), with the same
-/// per-tuple validation as [`xjoin_rows`], honouring the given
-/// [`crate::ExecOptions`]: `limit` is pushed into the walk(s), and when
-/// [`crate::ExecOptions::parallelism`] asks for more than one worker the
-/// plan is walked morsel-parallel (see [`crate::morsel`]) — in the serial
-/// walk's order unless [`crate::ExecOptions::unordered`] allows arrival
-/// order. Zero-variable plans always stream serially.
+/// per-tuple validation as [`xjoin_rows`]; the options' `limit` is pushed
+/// into the walk.
 pub fn stream_with_plan<'a>(
     ctx: &DataContext<'a>,
     query: &'a MultiModelQuery,
     plan: JoinPlan,
     opts: &ExecOptions,
 ) -> Result<Rows<'a>> {
-    let workers = opts.parallelism.workers();
-    if workers > 1 && !plan.var_plans().is_empty() {
-        Rows::from_parallel(ctx, query, plan, opts.limit, workers, !opts.unordered)
-    } else {
-        Rows::from_walk(ctx, query, plan, opts.limit)
-    }
+    Rows::from_walk(ctx, query, plan, opts.limit)
 }
 
 #[cfg(test)]

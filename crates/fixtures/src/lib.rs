@@ -222,8 +222,7 @@ pub fn fig2_instance(n: usize) -> Instance {
 /// (both directions stored), with a trivial one-node document so the
 /// instance runs through the multi-model [`xjoin_core::DataContext`]. The
 /// workhorse of the worst-case optimal literature's triangle/clique
-/// queries — and of the morsel-parallel suites, whose top join attribute
-/// (`a`) has one root value per vertex to shard on.
+/// queries.
 pub fn graph_instance(nodes: usize, edges: usize, seed: u64) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rows: Vec<Vec<Value>> = Vec::with_capacity(edges * 2);

@@ -24,10 +24,10 @@
 //! never blocks the traced thread.
 //!
 //! Collection model: call [`enable`], run the workload, [`disable`], make
-//! sure the threads you care about have exited (scoped morsel pools and
-//! dropped [`std::thread::JoinHandle`]s flush their rings automatically at
-//! thread exit), then [`take_trace`]. Long-lived threads that never exit can
-//! flush themselves with [`flush_thread`].
+//! sure the threads you care about have exited (every thread flushes its
+//! ring automatically at exit, so joining a worker pool is enough), then
+//! [`take_trace`]. Long-lived threads that never exit can flush themselves
+//! with [`flush_thread`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -66,7 +66,7 @@ fn collector() -> MutexGuard<'static, Vec<ThreadLog>> {
 /// One finished span (or instant event, when `start_ns == end_ns`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span name (e.g. `"morsel"`, `"trie-build"`).
+    /// Static span name (e.g. `"execute"`, `"trie-build"`).
     pub name: &'static str,
     /// Optional free-form attribute, set by [`SpanGuard::set_attr`].
     pub attr: Option<Box<str>>,
@@ -179,7 +179,7 @@ impl LocalSink {
 impl Drop for LocalSink {
     fn drop(&mut self) {
         // Thread exit: hand whatever the ring holds to the global collector
-        // so scoped worker pools need no explicit flushing.
+        // so joined worker threads need no explicit flushing.
         self.flush_into(&mut collector());
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::error::Result;
 use crate::leapfrog::{leapfrog_foreach, SliceCursor};
-use crate::plan::{JoinPlan, ValueRange};
+use crate::plan::JoinPlan;
 use crate::relation::Relation;
 use crate::schema::{Attr, Schema};
 use crate::stats::JoinStats;
@@ -27,20 +27,10 @@ const NO_NODE: u32 = u32::MAX;
 /// Runs the level-wise generic join over a validated plan, returning the
 /// result relation (schema = the plan's variable order) and per-level stats.
 pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
-    levelwise_join_in_range(plan, &ValueRange::all())
-}
-
-/// Range-restricted [`levelwise_join`]: expands only the tuples whose
-/// **first** variable binding falls inside `root`. Over a disjoint cover of
-/// the value space the per-level intermediates (and the results) partition
-/// exactly, so per-stage tuple counts summed across the parts equal the
-/// unrestricted run's counts — morsel-parallel execution preserves the
-/// Lemma 3.5 measurements.
-pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation, JoinStats) {
     let start = Instant::now();
     let schema = Schema::new(plan.order().iter().cloned()).expect("order vars are distinct");
     let width = plan.order().len();
-    let (tuples, count, mut stats) = levelwise_expand(plan, root, |_, _, _| true);
+    let (tuples, count, mut stats) = levelwise_expand(plan, |_, _, _| true);
     let mut out = Relation::with_capacity(schema, count);
     if width > 0 {
         for t in 0..count {
@@ -54,8 +44,8 @@ pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation,
 }
 
 /// Algorithm 1's expansion loop: binds the plan's variables one at a time,
-/// materialising after each the tuples over the bound prefix whose first
-/// binding falls inside `root`. `keep(depth, prefix, candidate)` sees every
+/// materialising after each the tuples over the bound prefix.
+/// `keep(depth, prefix, candidate)` sees every
 /// extension the leapfrog intersection proposes at `depth` and drops it by
 /// returning `false` (XJoin's A-D and partial-structure filters; a plain
 /// join keeps everything).
@@ -65,7 +55,6 @@ pub fn levelwise_join_in_range(plan: &JoinPlan, root: &ValueRange) -> (Relation,
 /// is empty or a level dies out.
 pub fn levelwise_expand(
     plan: &JoinPlan,
-    root: &ValueRange,
     mut keep: impl FnMut(usize, &[ValueId], ValueId) -> bool,
 ) -> (Vec<ValueId>, usize, JoinStats) {
     let natoms = plan.tries().len();
@@ -103,16 +92,13 @@ pub fn levelwise_expand(
             cursors.clear();
             for p in &vp.participants {
                 let trie = &plan.tries()[p.atom];
-                let mut range = if p.level == 0 {
+                let range = if p.level == 0 {
                     trie.root_range()
                 } else {
                     let parent = tuple_ptrs[p.atom];
                     debug_assert_ne!(parent, NO_NODE, "parent level must be bound");
                     trie.children(p.level - 1, parent)
                 };
-                if d == 0 {
-                    range = root.clamp_nodes(trie, p.level, range);
-                }
                 range_starts.push(range.start);
                 cursors.push(SliceCursor::new(trie.values(p.level, range)));
             }
@@ -317,38 +303,6 @@ mod tests {
         assert_eq!(stats.stages[1].tuples, 4);
         assert_eq!(stats.max_intermediate(), 4);
         assert_eq!(stats.total_intermediate(), 6);
-    }
-
-    #[test]
-    fn range_restricted_runs_partition_results_and_stage_counts() {
-        let r = rel(&["a", "b"], &[&[1, 2], &[2, 3], &[3, 1], &[1, 3]]);
-        let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[3, 3]]);
-        let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[1, 1]]);
-        let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        let (full, full_stats) = levelwise_join(&plan);
-        let halves = [
-            ValueRange {
-                lo: v(0),
-                hi: Some(v(2)),
-            },
-            ValueRange { lo: v(2), hi: None },
-        ];
-        let parts: Vec<(Relation, JoinStats)> = halves
-            .iter()
-            .map(|h| levelwise_join_in_range(&plan, h))
-            .collect();
-        let mut merged = Relation::new(full.schema().clone());
-        for (part, _) in &parts {
-            for row in part.rows() {
-                merged.push(row).unwrap();
-            }
-        }
-        assert_eq!(merged, full, "concatenation in range order = full result");
-        // Per-stage counts partition exactly across the cover.
-        for (i, stage) in full_stats.stages.iter().enumerate() {
-            let summed: usize = parts.iter().map(|(_, st)| st.stages[i].tuples).sum();
-            assert_eq!(summed, stage.tuples, "stage `{}`", stage.label);
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::error::Result;
 use crate::leapfrog::{block_seek, block_seek_counted, gallop, gallop_counted};
-use crate::plan::{JoinPlan, Ladder, ValueRange, VarPlan};
+use crate::plan::{JoinPlan, Ladder, VarPlan};
 use crate::relation::Relation;
 use crate::schema::{Attr, Schema};
 use crate::stats::LevelProbeStats;
@@ -98,8 +98,8 @@ struct RangeCursor {
     /// Sibling-group id for the level's bitmap index: the parent node index
     /// at `level - 1`, or 0 at level 0 (one group spans the root level).
     group: u32,
-    /// Absolute node index where the group begins (pre any root-range
-    /// clamping), anchoring bitmap ranks to node positions.
+    /// Absolute node index where the group begins, anchoring bitmap ranks
+    /// to node positions.
     group_start: u32,
 }
 
@@ -725,21 +725,16 @@ impl LevelState {
 /// levels above it — each atom's trie is leveled once, so the walk rotates
 /// between *branches* of the plan rather than re-leveling anything.
 ///
-/// The root variable stays pinned to the plan's first variable, which keeps
-/// [`LftjWalk::with_root_range`] sub-walks (morsels) aligned with the
-/// serial walk: adaptive choices depend only on the bound prefix, so a
-/// disjoint root cover still partitions the result deterministically.
-/// Yielded tuples are laid out per [`LftjWalk::order`] regardless of the
+/// The root variable stays pinned to the plan's first variable. Scoring it
+/// too would change which choices count as deviations from the static
+/// schedule, and so the reported [`LftjWalk::reorders`]; choosing the root
+/// adaptively is an ordering-policy change of its own. Yielded tuples are laid out per [`LftjWalk::order`] regardless of the
 /// binding order actually taken; only the *sequence* of tuples may differ
 /// from the static walk (it is no longer globally lexicographic past the
 /// first column).
 #[derive(Debug)]
 pub struct LftjWalk {
     plan: JoinPlan,
-    /// Restriction of the first variable's domain — the walk only visits
-    /// tuples whose first binding falls in this range (see
-    /// [`LftjWalk::with_root_range`]).
-    root: ValueRange,
     /// The probe kernel driving every level's intersection.
     kernel: ProbeKernel,
     /// Open levels, one [`LevelState`] per currently-entered variable.
@@ -789,22 +784,12 @@ impl LftjWalk {
     /// Creates a walk over `plan` with the default (block) probe kernel. No
     /// work happens until the first [`LftjWalk::next_tuple`] call.
     pub fn new(plan: JoinPlan) -> LftjWalk {
-        Self::with_root_range(plan, ValueRange::all())
+        Self::with_kernel(plan, ProbeKernel::default())
     }
 
-    /// Creates a walk restricted to the tuples whose **first** variable
-    /// binding (in the plan's order) falls inside `root`. The sub-walk is an
-    /// independent trie walk: running one walk per range of a disjoint cover
-    /// of the value space enumerates exactly the full result, partitioned by
-    /// first binding — the substrate of morsel-style parallel execution.
-    pub fn with_root_range(plan: JoinPlan, root: ValueRange) -> LftjWalk {
-        Self::with_kernel(plan, root, ProbeKernel::default())
-    }
-
-    /// Creates a range-restricted walk driven by an explicit
-    /// [`ProbeKernel`]. Benchmarks and differential suites pin the kernel;
-    /// everything else takes the default.
-    pub fn with_kernel(plan: JoinPlan, root: ValueRange, kernel: ProbeKernel) -> LftjWalk {
+    /// Creates a walk driven by an explicit [`ProbeKernel`]. Differential
+    /// suites pin the kernel; everything else takes the default.
+    pub fn with_kernel(plan: JoinPlan, kernel: ProbeKernel) -> LftjWalk {
         let natoms = plan.tries().len();
         let nvars = plan.var_plans().len();
         let adaptive = plan.ladder();
@@ -844,7 +829,6 @@ impl LftjWalk {
         };
         LftjWalk {
             plan,
-            root,
             kernel,
             levels: Vec::new(),
             nodes: vec![Vec::new(); natoms],
@@ -976,7 +960,7 @@ impl LftjWalk {
             let nruns = self.plan.runs(part.atom);
             if nruns == 1 {
                 let trie = &self.plan.tries()[part.atom];
-                let (mut range, group) = if part.level == 0 {
+                let (range, group) = if part.level == 0 {
                     // Level 0 is one sibling group (group id 0) spanning the
                     // whole level.
                     (trie.root_range(), 0)
@@ -984,16 +968,6 @@ impl LftjWalk {
                     let parent = *self.nodes[part.atom].last().expect("parent level bound");
                     (trie.children(part.level - 1, parent), parent)
                 };
-                // The bitmap index anchors ranks to the group's true first
-                // node, so record it before any root-range clamping narrows
-                // `range`.
-                let group_start = range.start;
-                // The first variable participates at level 0 of every atom
-                // that contains it; narrowing all its cursors to the walk's
-                // root range restricts the whole walk to that morsel.
-                if d == 0 {
-                    range = self.root.clamp_nodes(trie, part.level, range);
-                }
                 cursors.push(Cursor::Solid(RangeCursor {
                     atom: part.atom,
                     level: part.level,
@@ -1001,7 +975,7 @@ impl LftjWalk {
                     hi: range.end,
                     pos: range.start,
                     group,
-                    group_start,
+                    group_start: range.start,
                 }));
                 continue;
             }
@@ -1009,7 +983,7 @@ impl LftjWalk {
             let mut subs: Vec<SubCursor> = Vec::with_capacity(nruns);
             for r in 0..nruns {
                 let trie = self.plan.run_trie(part.atom, r);
-                let (mut range, group) = if part.level == 0 {
+                let (range, group) = if part.level == 0 {
                     (trie.root_range(), 0)
                 } else {
                     let frame = &self.nodes[part.atom];
@@ -1019,17 +993,13 @@ impl LftjWalk {
                     }
                     (trie.children(part.level - 1, parent), parent)
                 };
-                let group_start = range.start;
-                if d == 0 {
-                    range = self.root.clamp_nodes(trie, part.level, range);
-                }
                 if range.start < range.end {
                     subs.push(SubCursor {
                         run: r as u32,
                         hi: range.end,
                         pos: range.start,
                         group,
-                        group_start,
+                        group_start: range.start,
                     });
                 }
             }
@@ -1073,11 +1043,11 @@ impl LftjWalk {
     /// Picks the plan variable to open at depth `d`.
     ///
     /// Static walks take the plan order verbatim. Adaptive walks pin the
-    /// root (so [`ValueRange`]-partitioned sub-walks stay aligned) and past
-    /// it score every **admissible** unbound variable with the ladder rung,
-    /// opening the cheapest; ties cascade through the coarser rungs and
-    /// finally plan position, so the choice is a pure function of the bound
-    /// prefix — serial and morsel-parallel walks decide identically.
+    /// root (see the type docs) and past it score every **admissible**
+    /// unbound variable with the ladder rung, opening the cheapest; ties
+    /// cascade through the coarser rungs and finally plan position, so the
+    /// choice is a pure function of the bound prefix and a walk is
+    /// reproducible run to run.
     fn choose_var(&mut self, d: usize) -> usize {
         let Some(ladder) = self.adaptive else {
             return d;
@@ -1283,20 +1253,9 @@ fn refined_span(plan: &JoinPlan, nodes: &[Vec<u32>], vp: &VarPlan) -> u64 {
 /// [`ControlFlow::Break`]. Returns `Break(())` iff the callback broke.
 pub fn lftj_foreach_until(
     plan: &JoinPlan,
-    cb: impl FnMut(&[ValueId]) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    lftj_foreach_until_in_range(plan, &ValueRange::all(), cb)
-}
-
-/// Range-restricted [`lftj_foreach_until`]: streams only the result tuples
-/// whose first variable binding falls inside `root` (an independent
-/// sub-walk, see [`LftjWalk::with_root_range`]).
-pub fn lftj_foreach_until_in_range(
-    plan: &JoinPlan,
-    root: &ValueRange,
     mut cb: impl FnMut(&[ValueId]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut walk = LftjWalk::with_root_range(plan.clone(), root.clone());
+    let mut walk = LftjWalk::new(plan.clone());
     while let Some(t) = walk.next_tuple() {
         cb(t)?;
     }
@@ -1316,15 +1275,7 @@ pub fn lftj_foreach(plan: &JoinPlan, mut cb: impl FnMut(&[ValueId])) {
 
 /// Materialises the LFTJ result into a relation (schema = variable order).
 pub fn lftj(plan: &JoinPlan) -> Relation {
-    lftj_in_range(plan, &ValueRange::all())
-}
-
-/// Materialises the range-restricted LFTJ result: exactly the tuples whose
-/// first variable binding falls inside `root`. Concatenating the results of
-/// a disjoint cover of the value space (in range order) reproduces
-/// [`lftj`]'s output, order included.
-pub fn lftj_in_range(plan: &JoinPlan, root: &ValueRange) -> Relation {
-    lftj_in_range_counted(plan, root).0
+    lftj_counted(plan).0
 }
 
 /// Adaptive-ordering counters of one exhausted walk, harvested by
@@ -1337,13 +1288,13 @@ pub struct WalkCounters {
     pub estimate_probes: u64,
 }
 
-/// [`lftj_in_range`] that also returns the walk's adaptive-ordering
-/// counters, so engines can surface reorder decisions and estimate
-/// maintenance cost without re-running the join.
-pub fn lftj_in_range_counted(plan: &JoinPlan, root: &ValueRange) -> (Relation, WalkCounters) {
+/// [`lftj`] that also returns the walk's adaptive-ordering counters, so
+/// engines can surface reorder decisions and estimate maintenance cost
+/// without re-running the join.
+pub fn lftj_counted(plan: &JoinPlan) -> (Relation, WalkCounters) {
     let schema = Schema::new(plan.order().iter().cloned()).expect("distinct order");
     let mut out = Relation::new(schema);
-    let mut walk = LftjWalk::with_root_range(plan.clone(), root.clone());
+    let mut walk = LftjWalk::new(plan.clone());
     while let Some(t) = walk.next_tuple() {
         out.push(t).expect("arity matches");
     }
@@ -1532,66 +1483,6 @@ mod tests {
     }
 
     #[test]
-    fn range_restricted_walks_partition_the_result() {
-        let r = rel(&["a", "b"], &[&[1, 2], &[2, 3], &[3, 1], &[1, 3], &[2, 1]]);
-        let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[1, 1]]);
-        let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[2, 2]]);
-        let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        let full = lftj(&plan);
-        assert!(!full.is_empty());
-
-        // Split the `a` domain at value 2: [0, 2) and [2, ∞).
-        let lo_half = ValueRange {
-            lo: v(0),
-            hi: Some(v(2)),
-        };
-        let hi_half = ValueRange { lo: v(2), hi: None };
-        let lo_part = lftj_in_range(&plan, &lo_half);
-        let hi_part = lftj_in_range(&plan, &hi_half);
-        assert!(lo_part.rows().all(|row| row[0] < v(2)));
-        assert!(hi_part.rows().all(|row| row[0] >= v(2)));
-
-        // Concatenation in range order reproduces the full result exactly.
-        let mut merged = Relation::new(full.schema().clone());
-        for row in lo_part.rows().chain(hi_part.rows()) {
-            merged.push(row).unwrap();
-        }
-        assert_eq!(merged, full);
-
-        // Bindings of the sub-walks sum to the full walk's bindings: every
-        // bound prefix belongs to exactly one morsel (by its root value).
-        let count_bindings = |root: ValueRange| {
-            let mut w = LftjWalk::with_root_range(plan.clone(), root);
-            while w.next_tuple().is_some() {}
-            w.bindings()
-        };
-        let mut full_walk = LftjWalk::new(plan.clone());
-        while full_walk.next_tuple().is_some() {}
-        assert_eq!(
-            count_bindings(lo_half) + count_bindings(hi_half),
-            full_walk.bindings()
-        );
-    }
-
-    #[test]
-    fn empty_range_yields_nothing() {
-        let r = rel(&["a"], &[&[1], &[2], &[3]]);
-        let plan = JoinPlan::new(&[&r], &attrs(&["a"])).unwrap();
-        let out = lftj_in_range(
-            &plan,
-            &ValueRange {
-                lo: v(10),
-                hi: Some(v(20)),
-            },
-        );
-        assert!(out.is_empty());
-        let flow = lftj_foreach_until_in_range(&plan, &ValueRange { lo: v(2), hi: None }, |_| {
-            ControlFlow::Break(())
-        });
-        assert!(flow.is_break());
-    }
-
-    #[test]
     fn walk_exposes_order_and_plan() {
         let r = rel(&["a", "b"], &[&[1, 2]]);
         let plan = JoinPlan::new(&[&r], &attrs(&["a", "b"])).unwrap();
@@ -1603,8 +1494,8 @@ mod tests {
     }
 
     /// Runs `plan` to exhaustion under `kernel`, returning (tuples, bindings).
-    fn drain(plan: &JoinPlan, root: ValueRange, kernel: ProbeKernel) -> (Vec<Vec<ValueId>>, u64) {
-        let mut walk = LftjWalk::with_kernel(plan.clone(), root, kernel);
+    fn drain(plan: &JoinPlan, kernel: ProbeKernel) -> (Vec<Vec<ValueId>>, u64) {
+        let mut walk = LftjWalk::with_kernel(plan.clone(), kernel);
         let mut out = Vec::new();
         while let Some(t) = walk.next_tuple() {
             out.push(t.to_vec());
@@ -1618,8 +1509,8 @@ mod tests {
         let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[1, 1]]);
         let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[2, 2]]);
         let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        let (scalar, scalar_b) = drain(&plan, ValueRange::all(), ProbeKernel::Scalar);
-        let (block, block_b) = drain(&plan, ValueRange::all(), ProbeKernel::Block);
+        let (scalar, scalar_b) = drain(&plan, ProbeKernel::Scalar);
+        let (block, block_b) = drain(&plan, ProbeKernel::Block);
         assert_eq!(scalar, block);
         assert_eq!(scalar_b, block_b, "kernels must bind identically");
     }
@@ -1631,28 +1522,11 @@ mod tests {
         let rows: Vec<Vec<ValueId>> = (0..100u32).map(|i| vec![v(i), v(i % 7)]).collect();
         let r = Relation::from_rows(Schema::of(&["a", "b"]), rows).unwrap();
         let plan = JoinPlan::new(&[&r], &attrs(&["a", "b"])).unwrap();
-        let (scalar, scalar_b) = drain(&plan, ValueRange::all(), ProbeKernel::Scalar);
-        let (block, block_b) = drain(&plan, ValueRange::all(), ProbeKernel::Block);
+        let (scalar, scalar_b) = drain(&plan, ProbeKernel::Scalar);
+        let (block, block_b) = drain(&plan, ProbeKernel::Block);
         assert_eq!(scalar.len(), 100);
         assert_eq!(scalar, block);
         assert_eq!(scalar_b, block_b);
-    }
-
-    #[test]
-    fn kernels_agree_under_root_ranges() {
-        let r = rel(&["a", "b"], &[&[1, 2], &[2, 3], &[3, 1], &[1, 3], &[2, 1]]);
-        let s = rel(&["b", "c"], &[&[2, 3], &[3, 1], &[1, 2], &[1, 1]]);
-        let t = rel(&["a", "c"], &[&[1, 3], &[2, 1], &[3, 2], &[2, 2]]);
-        let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
-        for (lo, hi) in [(0, Some(2)), (2, None), (1, Some(3)), (5, Some(9))] {
-            let root = ValueRange {
-                lo: v(lo),
-                hi: hi.map(v),
-            };
-            let (scalar, _) = drain(&plan, root.clone(), ProbeKernel::Scalar);
-            let (block, _) = drain(&plan, root, ProbeKernel::Block);
-            assert_eq!(scalar, block, "root [{lo}, {hi:?})");
-        }
     }
 
     #[test]
@@ -1675,8 +1549,8 @@ mod tests {
             plan.tries().iter().any(|t| t.bitset_level_count() > 0),
             "test instance too small to trigger bitset layouts"
         );
-        let (scalar, _) = drain(&plan, ValueRange::all(), ProbeKernel::Scalar);
-        let (block, _) = drain(&plan, ValueRange::all(), ProbeKernel::Block);
+        let (scalar, _) = drain(&plan, ProbeKernel::Scalar);
+        let (block, _) = drain(&plan, ProbeKernel::Block);
         assert_eq!(scalar, block);
     }
 
@@ -1684,8 +1558,7 @@ mod tests {
         plan: &JoinPlan,
         kernel: ProbeKernel,
     ) -> (Vec<Vec<ValueId>>, u64, Vec<LevelProbeStats>) {
-        let mut walk =
-            LftjWalk::with_kernel(plan.clone(), ValueRange::all(), kernel).with_probe_counters();
+        let mut walk = LftjWalk::with_kernel(plan.clone(), kernel).with_probe_counters();
         let mut out = Vec::new();
         while let Some(t) = walk.next_tuple() {
             out.push(t.to_vec());
@@ -1716,7 +1589,7 @@ mod tests {
         let plan = JoinPlan::new(&[&r, &s, &t], &attrs(&["a", "b", "c"])).unwrap();
         let has_bitset = plan.tries().iter().any(|t| t.bitset_level_count() > 0);
         for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
-            let (plain, plain_b) = drain(&plan, ValueRange::all(), kernel);
+            let (plain, plain_b) = drain(&plan, kernel);
             let (counted, counted_b, probe) = drain_counted(&plan, kernel);
             assert_eq!(plain, counted, "{kernel:?}: counting changed the result");
             assert_eq!(plain_b, counted_b, "{kernel:?}: counting changed bindings");
@@ -1829,10 +1702,10 @@ mod tests {
         fn layered_walk_matches_solid_plan_under_both_kernels() {
             let (layered, solid) = triangle_layers(0x9e37, 3);
             assert!(layered.has_layers());
-            let (want, _) = drain(&solid, ValueRange::all(), ProbeKernel::Block);
+            let (want, _) = drain(&solid, ProbeKernel::Block);
             assert!(!want.is_empty(), "instance joins to something");
-            let (scalar, scalar_b) = drain(&layered, ValueRange::all(), ProbeKernel::Scalar);
-            let (block, block_b) = drain(&layered, ValueRange::all(), ProbeKernel::Block);
+            let (scalar, scalar_b) = drain(&layered, ProbeKernel::Scalar);
+            let (block, block_b) = drain(&layered, ProbeKernel::Block);
             assert_eq!(scalar, want);
             assert_eq!(block, want);
             assert_eq!(scalar_b, block_b, "kernels must bind identically");
@@ -1842,7 +1715,7 @@ mod tests {
         fn layered_probe_counters_observe_without_perturbing() {
             let (layered, _) = triangle_layers(0x51ed, 3);
             for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
-                let (plain, plain_b) = drain(&layered, ValueRange::all(), kernel);
+                let (plain, plain_b) = drain(&layered, kernel);
                 let (counted, counted_b, probe) = drain_counted(&layered, kernel);
                 assert_eq!(plain, counted, "{kernel:?}: counting changed the result");
                 assert_eq!(plain_b, counted_b, "{kernel:?}: counting changed bindings");
@@ -1856,51 +1729,15 @@ mod tests {
         }
 
         #[test]
-        fn layered_root_ranges_partition_the_result() {
-            let (layered, _) = triangle_layers(0x2bad, 3);
-            let (full, full_b) = drain(&layered, ValueRange::all(), ProbeKernel::Block);
-            let ranges = [
-                ValueRange {
-                    lo: v(0),
-                    hi: Some(v(11)),
-                },
-                ValueRange {
-                    lo: v(11),
-                    hi: Some(v(27)),
-                },
-                ValueRange {
-                    lo: v(27),
-                    hi: None,
-                },
-            ];
-            let mut merged = Vec::new();
-            let mut bindings = 0u64;
-            for root in ranges {
-                let (part, b) = drain(&layered, root, ProbeKernel::Block);
-                merged.extend(part);
-                bindings += b;
-            }
-            assert_eq!(merged, full, "disjoint cover reproduces the result");
-            assert_eq!(bindings, full_b, "morsel bindings sum to the total");
-        }
-
-        #[test]
         fn layered_random_differential() {
             for seed in [1u64, 7, 42, 0xdead_beef] {
                 for parts in [2usize, 3, 5] {
                     let (layered, solid) = triangle_layers(seed, parts);
-                    let (want, _) = drain(&solid, ValueRange::all(), ProbeKernel::Block);
+                    let (want, _) = drain(&solid, ProbeKernel::Block);
                     for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
-                        let (got, _) = drain(&layered, ValueRange::all(), kernel);
+                        let (got, _) = drain(&layered, kernel);
                         assert_eq!(got, want, "seed {seed} parts {parts} {kernel:?}");
                     }
-                    let mid = ValueRange {
-                        lo: v(9),
-                        hi: Some(v(31)),
-                    };
-                    let (got_mid, _) = drain(&layered, mid.clone(), ProbeKernel::Block);
-                    let (want_mid, _) = drain(&solid, mid, ProbeKernel::Block);
-                    assert_eq!(got_mid, want_mid, "seed {seed} parts {parts} mid range");
                 }
             }
         }
@@ -1922,7 +1759,7 @@ mod tests {
             )
             .unwrap();
             assert!(!plan.has_empty_atom());
-            let (got, _) = drain(&plan, ValueRange::all(), ProbeKernel::Block);
+            let (got, _) = drain(&plan, ProbeKernel::Block);
             assert_eq!(got.len(), 2);
 
             // Layers duplicating the base (and each other) still dedup.
@@ -1933,7 +1770,7 @@ mod tests {
             )
             .unwrap();
             for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
-                let (got2, _) = drain(&plan2, ValueRange::all(), kernel);
+                let (got2, _) = drain(&plan2, kernel);
                 assert_eq!(got2.len(), 2, "{kernel:?}");
             }
 
@@ -1945,7 +1782,7 @@ mod tests {
             )
             .unwrap();
             assert!(plan3.has_empty_atom());
-            let (got3, _) = drain(&plan3, ValueRange::all(), ProbeKernel::Block);
+            let (got3, _) = drain(&plan3, ProbeKernel::Block);
             assert!(got3.is_empty());
         }
     }
@@ -2007,12 +1844,12 @@ mod tests {
 
         #[test]
         fn every_rung_matches_the_static_walk() {
-            let (want, _) = drain(&branch_plan(None), ValueRange::all(), ProbeKernel::Block);
+            let (want, _) = drain(&branch_plan(None), ProbeKernel::Block);
             assert!(!want.is_empty(), "branch workload must have survivors");
             let want = multiset(want);
             for ladder in [Ladder::RowCount, Ladder::Distinct, Ladder::Refined] {
                 for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
-                    let (got, _) = drain(&branch_plan(Some(ladder)), ValueRange::all(), kernel);
+                    let (got, _) = drain(&branch_plan(Some(ladder)), kernel);
                     assert_eq!(multiset(got), want, "{ladder:?} / {kernel:?}");
                 }
             }
@@ -2053,32 +1890,6 @@ mod tests {
         }
 
         #[test]
-        fn adaptive_range_walks_partition_the_result() {
-            let plan = branch_plan(Some(Ladder::Refined));
-            let (full, _) = drain(&plan, ValueRange::all(), ProbeKernel::Block);
-            let split = ValueId(32);
-            let (lo, _) = drain(
-                &plan,
-                ValueRange {
-                    lo: ValueId(0),
-                    hi: Some(split),
-                },
-                ProbeKernel::Block,
-            );
-            let (hi, _) = drain(
-                &plan,
-                ValueRange {
-                    lo: split,
-                    hi: None,
-                },
-                ProbeKernel::Block,
-            );
-            let mut glued = lo;
-            glued.extend(hi);
-            assert_eq!(glued, full, "disjoint cover reproduces order too");
-        }
-
-        #[test]
         fn tracked_adaptive_walks_report_choices_and_estimates() {
             let plan = branch_plan(Some(Ladder::Refined));
             let mut walk = LftjWalk::new(plan).with_probe_counters();
@@ -2105,7 +1916,7 @@ mod tests {
         #[test]
         fn counted_materialisation_reports_reorders() {
             let plan = branch_plan(Some(Ladder::Refined));
-            let (rel_adaptive, counters) = lftj_in_range_counted(&plan, &ValueRange::all());
+            let (rel_adaptive, counters) = lftj_counted(&plan);
             assert!(counters.reorders > 0);
             assert!(counters.estimate_probes > 0);
             let static_rel = lftj(&branch_plan(None));

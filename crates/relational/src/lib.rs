@@ -41,7 +41,7 @@ pub use delta::DeltaTrie;
 pub use error::{RelError, Result};
 pub use leapfrog::{block_seek, block_seek_counted, gallop, gallop_counted};
 pub use lftj::{LftjWalk, ProbeKernel, WalkCounters};
-pub use plan::{JoinPlan, Ladder, ValueRange};
+pub use plan::{JoinPlan, Ladder};
 pub use relation::Relation;
 pub use schema::{Attr, Schema};
 pub use stats::{BuildStats, JoinStats, LevelProbeStats, SortPath};

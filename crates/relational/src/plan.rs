@@ -7,76 +7,11 @@
 //! the list of atoms containing it and at which trie level.
 
 use crate::error::{RelError, Result};
-use crate::leapfrog::block_seek;
 use crate::relation::Relation;
 use crate::schema::Attr;
 use crate::trie::Trie;
-use crate::value::ValueId;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A half-open value interval `[lo, hi)` over dictionary-encoded values —
-/// the unit of work of morsel-style parallel execution.
-///
-/// Worst-case optimal joins bind the first variable of the global order by
-/// intersecting the root levels of every participating trie; restricting
-/// that intersection to a `ValueRange` yields an independent sub-join whose
-/// results are exactly the tuples whose first binding falls in the range.
-/// A set of ranges that [disjointly covers](ValueRange::all) the value space
-/// therefore partitions the *result set* (and all per-level work) without
-/// any coordination between the parts.
-///
-/// `hi = None` means unbounded above, so `ValueRange::all()` covers every
-/// value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValueRange {
-    /// Inclusive lower bound.
-    pub lo: ValueId,
-    /// Exclusive upper bound (`None` = unbounded).
-    pub hi: Option<ValueId>,
-}
-
-impl ValueRange {
-    /// The full value space (restricting to it is a no-op).
-    pub fn all() -> ValueRange {
-        ValueRange {
-            lo: ValueId(0),
-            hi: None,
-        }
-    }
-
-    /// Whether this range is the full value space.
-    pub fn is_all(&self) -> bool {
-        self.lo == ValueId(0) && self.hi.is_none()
-    }
-
-    /// Whether `v` falls inside `[lo, hi)`.
-    pub fn contains(&self, v: ValueId) -> bool {
-        v >= self.lo && self.hi.is_none_or(|h| v < h)
-    }
-
-    /// Narrows a sibling node range of `trie` at `level` to the nodes whose
-    /// values fall inside this value range (block-searching the sorted level).
-    pub fn clamp_nodes(&self, trie: &Trie, level: usize, range: Range<u32>) -> Range<u32> {
-        if self.is_all() {
-            return range;
-        }
-        let vals = trie.values(level, range.clone());
-        let lo_off = block_seek(vals, 0, self.lo);
-        let hi_off = match self.hi {
-            Some(h) => block_seek(vals, lo_off, h),
-            None => vals.len(),
-        };
-        range.start + lo_off as u32..range.start + hi_off as u32
-    }
-}
-
-impl Default for ValueRange {
-    fn default() -> Self {
-        ValueRange::all()
-    }
-}
 
 /// The cardinality-estimate ladder steering runtime-adaptive variable
 /// ordering (the *Atreides* ladder).
@@ -259,7 +194,7 @@ impl JoinPlan {
     ///
     /// Every run must be leveled by exactly the same attribute order as its
     /// base trie. Layered plans are only executable by walk-based engines
-    /// ([`crate::LftjWalk`] and the streaming / morsel drivers built on it);
+    /// ([`crate::LftjWalk`] and the streaming drivers built on it);
     /// hand engines that consume [`JoinPlan::tries`] directly a compacted
     /// plan instead.
     pub fn from_shared_layered(
@@ -296,9 +231,9 @@ impl JoinPlan {
     }
 
     /// Attaches (or clears) a runtime-adaptive ordering ladder. Walks built
-    /// from the returned plan — including every morsel sub-walk cloned from
-    /// it — defer level ordering to runtime and score admissible variables
-    /// with `ladder`; result *tuples* are still laid out per
+    /// from the returned plan defer level ordering to runtime and score
+    /// admissible variables with `ladder`; result *tuples* are still laid
+    /// out per
     /// [`JoinPlan::order`].
     #[must_use]
     pub fn with_ladder(mut self, ladder: Option<Ladder>) -> JoinPlan {
@@ -458,41 +393,6 @@ mod tests {
         // The same Arc can back several plans simultaneously.
         let plan2 = JoinPlan::from_shared(vec![Arc::clone(&trie)], &attrs(&["a", "b"])).unwrap();
         assert!(Arc::ptr_eq(&plan2.tries()[0], &plan.tries()[0]));
-    }
-
-    #[test]
-    fn value_range_contains_and_clamps() {
-        let all = ValueRange::all();
-        assert!(all.is_all());
-        assert!(all.contains(v(0)));
-        assert!(all.contains(v(u32::MAX)));
-        let r = ValueRange {
-            lo: v(3),
-            hi: Some(v(7)),
-        };
-        assert!(!r.contains(v(2)));
-        assert!(r.contains(v(3)));
-        assert!(r.contains(v(6)));
-        assert!(!r.contains(v(7)));
-
-        // Root level values: 1, 3, 5, 9.
-        let rel = rel(&["a"], &[&[1], &[3], &[5], &[9]]);
-        let trie = Trie::from_relation(&rel);
-        let root = trie.root_range();
-        assert_eq!(all.clamp_nodes(&trie, 0, root.clone()), 0..4);
-        let mid = ValueRange {
-            lo: v(2),
-            hi: Some(v(6)),
-        };
-        // Nodes with values 3 and 5.
-        assert_eq!(mid.clamp_nodes(&trie, 0, root.clone()), 1..3);
-        let tail = ValueRange { lo: v(6), hi: None };
-        assert_eq!(tail.clamp_nodes(&trie, 0, root.clone()), 3..4);
-        let empty = ValueRange {
-            lo: v(6),
-            hi: Some(v(9)),
-        };
-        assert_eq!(empty.clamp_nodes(&trie, 0, root), 3..3);
     }
 
     #[test]

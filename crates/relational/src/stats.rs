@@ -154,11 +154,11 @@ pub struct JoinStats {
     /// `relational::delta`.
     pub delta_runs: usize,
     /// Adaptive-ordering decisions that deviated from the static schedule
-    /// (summed across morsels; 0 for static plans and for level-wise
-    /// engines, which run the skeleton order).
+    /// (0 for static plans and for level-wise engines, which run the
+    /// skeleton order).
     pub reorders: u64,
     /// Candidate-variable estimates computed by the adaptive chooser — the
-    /// estimate-maintenance cost meter (summed across morsels).
+    /// estimate-maintenance cost meter.
     pub estimate_probes: u64,
 }
 

@@ -166,8 +166,9 @@ impl LevelBits {
         let bit = word.trailing_zeros();
         let below = (self.words[w] & ((1u64 << bit) - 1)).count_ones();
         // Values ascend within a group, so clamping into the cursor's
-        // window is exact — it only matters for root ranges restricted by
-        // morsel partitioning.
+        // window is exact: a target at or below the cursor's current value
+        // resolves to a node before `pos`, and the clamp keeps the seek
+        // forward-only, like `block_seek` searching from `lo`.
         (group_start + self.rank[w] + below).clamp(pos, hi)
     }
 

@@ -35,7 +35,7 @@ impl Client {
     fn check_options(opts: &ExecOptions) -> WireResult<()> {
         if matches!(opts.order, OrderStrategy::Given(_)) {
             return Err(WireError::Malformed(
-                "OrderStrategy::Given is not representable in protocol v1".to_string(),
+                "OrderStrategy::Given is not representable on the wire".to_string(),
             ));
         }
         Ok(())

@@ -24,17 +24,22 @@
 //! ([`encode_options`] / [`decode_options`]); the same bytes double as the
 //! server's prepared-statement cache key, so two requests hit the same
 //! cached statement exactly when their options encode identically. The
-//! [`xjoin_core::OrderStrategy::Given`] variant is not representable in
-//! protocol version 1 (wire clients name strategies, not attribute lists).
+//! [`xjoin_core::OrderStrategy::Given`] variant is not representable on the
+//! wire (clients name strategies, not attribute lists).
+//!
+//! Version 2 dropped two fields version 1 carried: a 5-byte parallelism
+//! tail after the limit, and an arrival-order flag bit. A request can no
+//! longer ask the server to spawn threads on its behalf; version-1 frames
+//! are rejected as malformed at the header.
 
 use relational::Value;
 use std::io::{self, Read, Write};
-use xjoin_core::{EngineKind, ExecOptions, Ladder, OrderStrategy, Parallelism, RelAlg, XmlAlg};
+use xjoin_core::{EngineKind, ExecOptions, Ladder, OrderStrategy};
 
 /// Protocol magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"XJ";
 /// Protocol version carried in every frame header.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Upper bound on a frame payload (16 MiB): anything larger is malformed.
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
@@ -80,7 +85,7 @@ pub enum ErrorCode {
     /// The MMQL text did not parse.
     Parse = 1,
     /// The statement could not be prepared (unknown relation, bad output
-    /// list, non-plan-based engine for `PREPARE`, ...).
+    /// list, ...).
     Prepare = 2,
     /// `EXEC` named a statement id this server does not hold (never issued,
     /// or evicted from the statement cache).
@@ -391,8 +396,6 @@ const ENGINE_XJOIN: u8 = 0;
 const ENGINE_XJOIN_STREAM: u8 = 1;
 const ENGINE_LFTJ: u8 = 2;
 const ENGINE_GENERIC: u8 = 3;
-const ENGINE_HASH: u8 = 4;
-const ENGINE_BASELINE: u8 = 5;
 
 /// Appends the self-delimiting encoding of `opts` to `out`.
 ///
@@ -404,19 +407,6 @@ pub fn encode_options(out: &mut Vec<u8>, opts: &ExecOptions) {
         EngineKind::XJoinStream => out.push(ENGINE_XJOIN_STREAM),
         EngineKind::Lftj => out.push(ENGINE_LFTJ),
         EngineKind::Generic => out.push(ENGINE_GENERIC),
-        EngineKind::HashJoin => out.push(ENGINE_HASH),
-        EngineKind::Baseline { rel_alg, xml_alg } => {
-            out.push(ENGINE_BASELINE);
-            out.push(match rel_alg {
-                RelAlg::Hash => 0,
-                RelAlg::Lftj => 1,
-            });
-            out.push(match xml_alg {
-                XmlAlg::TwigStack => 0,
-                XmlAlg::Navigational => 1,
-                XmlAlg::Tjfast => 2,
-            });
-        }
     }
     match &opts.order {
         OrderStrategy::Appearance => out.push(0),
@@ -431,7 +421,7 @@ pub fn encode_options(out: &mut Vec<u8>, opts: &ExecOptions) {
                 Ladder::Refined => 2,
             });
         }
-        // `Given` carries attribute lists the v1 wire does not name; callers
+        // `Given` carries attribute lists the wire does not name; callers
         // must pick a named strategy. Servers never see this byte — it is
         // rejected client-side in `Client` and decodes to an error anyway.
         OrderStrategy::Given(_) => out.push(0xFF),
@@ -443,25 +433,8 @@ pub fn encode_options(out: &mut Vec<u8>, opts: &ExecOptions) {
     if opts.ad_filter {
         flags |= 2;
     }
-    if opts.unordered {
-        flags |= 4;
-    }
     out.push(flags);
     out.extend_from_slice(&(opts.limit.map_or(u64::MAX, |l| l as u64)).to_be_bytes());
-    match opts.parallelism {
-        Parallelism::Serial => {
-            out.push(0);
-            out.extend_from_slice(&0u32.to_be_bytes());
-        }
-        Parallelism::Threads(n) => {
-            out.push(1);
-            out.extend_from_slice(&(n as u32).to_be_bytes());
-        }
-        Parallelism::Auto => {
-            out.push(2);
-            out.extend_from_slice(&0u32.to_be_bytes());
-        }
-    }
 }
 
 /// Decodes an [`encode_options`] prefix from the cursor.
@@ -471,21 +444,6 @@ pub fn decode_options(c: &mut Cursor<'_>) -> WireResult<ExecOptions> {
         ENGINE_XJOIN_STREAM => EngineKind::XJoinStream,
         ENGINE_LFTJ => EngineKind::Lftj,
         ENGINE_GENERIC => EngineKind::Generic,
-        ENGINE_HASH => EngineKind::HashJoin,
-        ENGINE_BASELINE => {
-            let rel_alg = match c.u8()? {
-                0 => RelAlg::Hash,
-                1 => RelAlg::Lftj,
-                b => return Err(malformed(format!("unknown rel_alg {b}"))),
-            };
-            let xml_alg = match c.u8()? {
-                0 => XmlAlg::TwigStack,
-                1 => XmlAlg::Navigational,
-                2 => XmlAlg::Tjfast,
-                b => return Err(malformed(format!("unknown xml_alg {b}"))),
-            };
-            EngineKind::Baseline { rel_alg, xml_alg }
-        }
         b => return Err(malformed(format!("unknown engine tag {b}"))),
     };
     let order = match c.u8()? {
@@ -503,19 +461,12 @@ pub fn decode_options(c: &mut Cursor<'_>) -> WireResult<ExecOptions> {
         b => return Err(malformed(format!("unknown order strategy {b}"))),
     };
     let flags = c.u8()?;
-    if flags & !0b111 != 0 {
+    if flags & !0b11 != 0 {
         return Err(malformed(format!("unknown option flags {flags:#x}")));
     }
     let limit = match c.u64()? {
         u64::MAX => None,
         l => Some(l as usize),
-    };
-    let (ptag, pn) = (c.u8()?, c.u32()?);
-    let parallelism = match ptag {
-        0 => Parallelism::Serial,
-        1 => Parallelism::Threads(pn as usize),
-        2 => Parallelism::Auto,
-        b => return Err(malformed(format!("unknown parallelism tag {b}"))),
     };
     Ok(ExecOptions {
         engine,
@@ -523,8 +474,6 @@ pub fn decode_options(c: &mut Cursor<'_>) -> WireResult<ExecOptions> {
         partial_validation: flags & 1 != 0,
         ad_filter: flags & 2 != 0,
         limit,
-        parallelism,
-        unordered: flags & 4 != 0,
     })
 }
 
@@ -776,12 +725,6 @@ mod tests {
             partial_validation: true,
             ad_filter: true,
             limit: Some(7),
-            parallelism: Parallelism::Threads(3),
-            unordered: true,
-        });
-        v.push(ExecOptions {
-            parallelism: Parallelism::Auto,
-            ..Default::default()
         });
         for ladder in [Ladder::RowCount, Ladder::Distinct, Ladder::Refined] {
             v.push(ExecOptions {
@@ -822,6 +765,19 @@ mod tests {
         assert_ne!(a, c);
         let static_key = options_key(&ExecOptions::default());
         assert_ne!(c, static_key);
+    }
+
+    #[test]
+    fn unknown_flag_bits_and_retired_engine_tags_are_rejected() {
+        let mut bytes = options_key(&ExecOptions::default());
+        // Layout: engine, order, flags, limit.
+        bytes[2] |= 4;
+        assert!(decode_options(&mut Cursor::new(&bytes)).is_err());
+        for tag in [4u8, 5] {
+            let mut bytes = options_key(&ExecOptions::default());
+            bytes[0] = tag;
+            assert!(decode_options(&mut Cursor::new(&bytes)).is_err());
+        }
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! reads request frames and replies in order (the protocol is strictly
 //! request/reply, no pipelining guarantees beyond FIFO per connection).
 //!
-//! The request path for plan-based engines is: decode → statement cache
-//! (parse/resolve/order once per distinct `(MMQL, options)`) → **price** the
-//! query by its AGM bound on the current snapshot → admission decision →
-//! submit to the worker pool with the request deadline → wait with timeout →
-//! encode rows. Engines that do not execute from trie plans (hash join, the
-//! per-model baseline) run inline on the connection thread — they exist for
-//! comparisons, not serving — but still pass through pricing and admission.
+//! The request path is: decode → statement cache (parse/resolve/order once
+//! per distinct `(MMQL, options)`) → **price** the query by its AGM bound on
+//! the current snapshot → admission decision → submit to the worker pool
+//! with the request deadline → wait with timeout → encode rows. Every query
+//! runs serially on one pool worker, so the threads a server uses are fixed
+//! by its configuration, never by a request.
 //!
 //! Shutdown is graceful: a `SHUTDOWN` frame (or [`ServerHandle::shutdown`])
 //! stops the accept loop and new requests, while requests already being
@@ -540,7 +539,7 @@ fn serve_exec(inner: &ServerInner, stmt_id: u64, req: RequestOpts) -> (u8, Vec<u
     run_prepared(inner, &entry, req)
 }
 
-/// The admitted execution path shared by `EXEC` and plan-based `QUERY`.
+/// The admitted execution path shared by `EXEC` and `QUERY`.
 fn run_prepared(inner: &ServerInner, entry: &StmtEntry, req: RequestOpts) -> (u8, Vec<u8>) {
     let snapshot = inner.store.snapshot();
     let log2_bound = match entry.log2_bound(&snapshot) {
@@ -584,42 +583,9 @@ fn serve_query(
     req: RequestOpts,
     text: &str,
 ) -> (u8, Vec<u8>) {
-    if opts.engine.is_plan_based() {
-        let (entry, _cached) = match get_or_prepare(inner, opts, text) {
-            Ok(r) => r,
-            Err(reply) => return reply,
-        };
-        return run_prepared(inner, &entry, req);
-    }
-    // Non-plan-based engines (hash join, the per-model baseline) run inline
-    // on the connection thread: they exist for comparisons, not serving, so
-    // they get pricing + admission + the row budget, but no mid-execution
-    // deadline enforcement.
-    let (query, text_order) = match parse_query_with_options(text) {
-        Ok(r) => r,
-        Err(e) => return error_reply(ErrorCode::Parse, &e),
-    };
-    let snapshot = inner.store.snapshot();
-    let log2_bound = match price_query(&snapshot, &query) {
-        Ok(b) => b,
-        Err(e) => return error_reply(ErrorCode::Exec, &e),
-    };
-    let _permit = match admit(inner, log2_bound) {
-        Ok(p) => p,
-        Err(reply) => return reply,
-    };
-    let cap = effective_limit(opts.limit, req);
-    let mut opts = ExecOptions {
-        limit: cap,
-        ..opts.clone()
-    };
-    if let Some(order) = text_order {
-        opts.order = order;
-    }
-    let ctx = snapshot.ctx();
-    match xjoin_core::execute(&ctx, &query, &opts) {
-        Ok(out) => rows_reply(&snapshot, &out, cap),
-        Err(e) => error_reply(ErrorCode::Exec, &e),
+    match get_or_prepare(inner, opts, text) {
+        Ok((entry, _cached)) => run_prepared(inner, &entry, req),
+        Err(reply) => reply,
     }
 }
 

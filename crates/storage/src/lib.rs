@@ -15,7 +15,7 @@
 //!   (lowered via `xmldb::transform`) included;
 //! * [`prepared`] — [`PreparedQuery`]: parse/validate/order a
 //!   [`xjoin_core::MultiModelQuery`] once (with its pinned
-//!   [`xjoin_core::ExecOptions`] — any plan-based engine kind), pin its
+//!   [`xjoin_core::ExecOptions`] — any engine kind), pin its
 //!   trie keys, and re-execute cheaply against any snapshot (a fully warm
 //!   execution builds zero tries), materialised or as pull-based
 //!   [`xjoin_core::Rows`];

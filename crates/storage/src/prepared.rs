@@ -8,10 +8,9 @@
 //! [`TrieKey`] (filling in that snapshot's relation / document versions),
 //! fetches the tries from the shared registry — building only on cache
 //! misses — and runs the engine selected by the pinned
-//! [`xjoin_core::ExecOptions`] over the assembled plan (any plan-based
+//! [`xjoin_core::ExecOptions`] over the assembled plan (any
 //! [`xjoin_core::EngineKind`]: level-wise XJoin, streaming XJoin, LFTJ, or
-//! the generic join — the baseline and hash join do not consume trie plans
-//! and are rejected at prepare time).
+//! the generic join).
 //!
 //! A fully warm execution performs **zero** [`relational::Trie::build`]
 //! calls and never re-materialises path relations: the plan is assembled
@@ -26,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
     collect_atoms, compute_order, execute_with_plan, stream_with_plan, validate_output, CoreError,
-    EngineKind, ExecOptions, MultiModelQuery, Parallelism, QueryOutput, ResolvedAtom, Rows, Term,
+    EngineKind, ExecOptions, MultiModelQuery, QueryOutput, ResolvedAtom, Rows, Term,
 };
 use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
 
@@ -111,22 +110,11 @@ impl PreparedQuery {
     /// output projection, and pins every atom's trie key. The chosen order
     /// is kept for all later executions (for the `Cardinality` strategy it
     /// reflects the reference snapshot's statistics).
-    ///
-    /// `options.engine` must be a plan-based kind
-    /// ([`xjoin_core::EngineKind::is_plan_based`]); the baseline and hash
-    /// join do not execute from trie plans and are rejected here.
     pub fn prepare(
         snapshot: &Snapshot,
         query: &MultiModelQuery,
         options: ExecOptions,
     ) -> Result<PreparedQuery> {
-        if !options.engine.is_plan_based() {
-            return Err(StoreError::Core(CoreError::Unsupported(format!(
-                "engine `{}` does not execute from a trie plan; run it through \
-                 xjoin_core::execute instead",
-                options.engine
-            ))));
-        }
         let ctx = snapshot.ctx();
         let atoms = collect_atoms(&ctx, query)?;
         let order = compute_order(&atoms, &options.order)?;
@@ -216,19 +204,9 @@ impl PreparedQuery {
     }
 
     /// The pinned execution options (engine kind, order strategy, filters,
-    /// limit, parallelism).
+    /// limit).
     pub fn options(&self) -> &ExecOptions {
         &self.options
-    }
-
-    /// Overrides the pinned parallelism without re-preparing: the same
-    /// prepared query (same order, same trie keys, same cached tries) can be
-    /// served serial or morsel-parallel per call site. Workers of a parallel
-    /// execution share the plan's `Arc<Trie>` registry entries — no trie is
-    /// copied or rebuilt for the fan-out.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.options.parallelism = parallelism;
-        self
     }
 
     /// Overrides the pinned row limit without re-preparing: the same order
@@ -505,7 +483,7 @@ impl PreparedQuery {
     ///
     /// The result *set* equals [`PreparedQuery::execute`] with the same
     /// options (the drain is the depth-first streaming walk, which yields
-    /// the same tuples whatever plan-based kind is pinned); the per-stage
+    /// the same tuples whatever engine kind is pinned); the per-stage
     /// Lemma 3.5 series is not recorded, exactly as for the streaming
     /// engine. `enqueued` is when the job entered the system — it stamps
     /// the error's `waited` field so callers see total queue + run time.
@@ -558,7 +536,6 @@ impl PreparedQuery {
             stats,
             order: self.order.clone(),
             atom_sizes,
-            engine: self.options.engine,
         })
     }
 
@@ -569,12 +546,10 @@ impl PreparedQuery {
     /// into the trie walk.
     ///
     /// This is always the depth-first streaming walk (with per-tuple twig
-    /// validation), regardless of which plan-based engine kind is pinned —
+    /// validation), regardless of which engine kind is pinned —
     /// the pinned kind and its XJoin-only flags govern
     /// [`PreparedQuery::execute`]; the result *set* is identical either
-    /// way. A pinned (or [`PreparedQuery::with_parallelism`]-overridden)
-    /// parallel setting walks the cached tries morsel-parallel, with the
-    /// workers sharing the snapshot's `Arc<Trie>` registry entries.
+    /// way.
     pub fn rows<'s>(&'s self, snapshot: &'s Snapshot) -> Result<Rows<'s>> {
         // The pull-based drain is always the streaming walk, whatever kind
         // is pinned — delta layers are consumed natively.
@@ -727,7 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_based_engine_executes_from_the_cache() {
+    fn every_engine_executes_from_the_cache() {
         let store = bookstore_store();
         let snap = store.snapshot();
         let q = bookstore_query();
@@ -736,60 +711,14 @@ mod tests {
             .execute(&snap)
             .unwrap();
         for kind in EngineKind::all() {
-            let opts = ExecOptions::for_engine(kind);
-            if !kind.is_plan_based() {
-                assert!(
-                    matches!(
-                        PreparedQuery::prepare(&snap, &q, opts),
-                        Err(StoreError::Core(CoreError::Unsupported(_)))
-                    ),
-                    "non-plan engine {kind} must be rejected at prepare"
-                );
-                continue;
-            }
-            let prepared = PreparedQuery::prepare(&snap, &q, opts).unwrap();
+            let prepared =
+                PreparedQuery::prepare(&snap, &q, ExecOptions::for_engine(kind)).unwrap();
             let out = prepared.execute(&snap).unwrap();
             assert!(
                 out.results.set_eq(&reference.results),
                 "prepared engine {kind} diverged"
             );
-            assert_eq!(out.engine, kind);
         }
-    }
-
-    #[test]
-    fn parallelism_override_serves_identical_results_from_the_same_cache() {
-        use xjoin_core::Parallelism;
-        let store = bookstore_store();
-        let snap = store.snapshot();
-        let q = bookstore_query();
-        for kind in EngineKind::all().into_iter().filter(|k| k.is_plan_based()) {
-            let prepared =
-                PreparedQuery::prepare(&snap, &q, ExecOptions::for_engine(kind)).unwrap();
-            let serial = prepared.execute(&snap).unwrap();
-            let misses_after_serial = store.registry().stats().misses;
-            let parallel = prepared
-                .clone()
-                .with_parallelism(Parallelism::Threads(3))
-                .execute(&snap)
-                .unwrap();
-            assert!(
-                parallel.results.set_eq(&serial.results),
-                "prepared engine {kind} diverged under parallel execution"
-            );
-            // The fan-out shares cached Arc<Trie>s: no extra builds.
-            assert_eq!(
-                store.registry().stats().misses,
-                misses_after_serial,
-                "parallel execution of {kind} rebuilt a trie"
-            );
-        }
-        // The streaming path honours the override too.
-        let prepared = PreparedQuery::prepare(&snap, &q, ExecOptions::default())
-            .unwrap()
-            .with_parallelism(Parallelism::Threads(2));
-        let n = prepared.rows(&snap).unwrap().count();
-        assert_eq!(n, prepared.execute(&snap).unwrap().results.len());
     }
 
     #[test]
@@ -846,7 +775,6 @@ mod tests {
             .unwrap();
         assert!(out.results.set_eq(&direct.results));
         assert_eq!(out.order, direct.order);
-        assert_eq!(out.engine, direct.engine);
         assert_eq!(out.atom_sizes, direct.atom_sizes);
     }
 

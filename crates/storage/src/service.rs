@@ -9,12 +9,11 @@
 //! simultaneously, each returning its own [`QueryOutput`] with per-query
 //! [`relational::JoinStats`].
 //!
-//! Inter-query and intra-query parallelism compose: a prepared query pinned
-//! (or overridden via [`PreparedQuery::with_parallelism`]) to a parallel
-//! setting fans each job out across a morsel pool of its own, with all
-//! morsel workers reading the same immutable snapshot and the same cached
-//! `Arc<relational::Trie>`s — snapshot isolation is per job, whatever the
-//! fan-out. Under write churn the shared plans may resolve to *layered*
+//! The pool is the only source of concurrency: each job runs serially on
+//! one worker, reading its own immutable snapshot and the shared cached
+//! `Arc<relational::Trie>`s, so snapshot isolation is per job and a job's
+//! thread cost is fixed by the pool size, never by the query. Under write
+//! churn the shared plans may resolve to *layered*
 //! tries (an immutable base plus the appended delta runs, see
 //! [`relational::DeltaTrie`]): layers are themselves immutable `Arc`s, so
 //! concurrent jobs on different snapshots simply see different overlay

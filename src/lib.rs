@@ -15,7 +15,7 @@
 //!   packing, computing the paper's size bounds;
 //! * [`xjoin_core`] — the paper's contribution: the XJoin engine, the
 //!   per-model baseline it is compared against, Lemma 3.1/3.5 bound
-//!   checks, and the unified execution API (`Engine` / `EngineKind` /
+//!   checks, and the unified execution API (`execute` / `EngineKind` /
 //!   `QueryBuilder` / pull-based `Rows`) every engine sits behind;
 //! * [`xjoin_store`] — the serving layer: a versioned store with immutable
 //!   snapshots, a shared LRU trie cache, prepared queries, and a concurrent

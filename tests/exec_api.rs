@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relational::{Database, Ladder, Relation, Schema, Value, ValueId};
 use xjoin_core::{
-    engine_for, execute, stream, CoreError, DataContext, EngineKind, ExecOptions, MultiModelQuery,
+    execute, stream, CoreError, DataContext, EngineKind, ExecOptions, MultiModelQuery,
     OrderStrategy, QueryBuilder,
 };
 use xmldb::{TagIndex, XmlDocument};
@@ -103,21 +103,17 @@ fn rungs() -> [Ladder; 3] {
 }
 
 /// Adaptive ordering is a pure execution-strategy change: for every
-/// plan-based [`EngineKind`] and every ladder rung, the adaptive run's
+/// [`EngineKind`] and every ladder rung, the adaptive run's
 /// result multiset is identical to the static run's — on random multi-model
 /// instances, a Zipf-skewed triangle, and the branch-skew workload the
 /// adaptive walk is designed to win on. Schemas may differ (adaptive pins
 /// the appearance skeleton), so results are aligned by projection first.
 #[test]
 fn adaptive_matches_static_for_every_plan_based_engine() {
-    let plan_based: Vec<EngineKind> = EngineKind::all()
-        .into_iter()
-        .filter(EngineKind::is_plan_based)
-        .collect();
     let check = |db: &Database, doc: &XmlDocument, query: &MultiModelQuery, tag: &str| {
         let index = TagIndex::build(doc);
         let ctx = DataContext::new(db, doc, &index);
-        for &kind in &plan_based {
+        for kind in EngineKind::all() {
             let static_out = execute(&ctx, query, &ExecOptions::for_engine(kind)).unwrap();
             for ladder in rungs() {
                 let opts = ExecOptions {
@@ -258,12 +254,14 @@ fn unknown_output_attribute_fails_fast_everywhere() {
         .unwrap()
         .with_output(&["not_a_var"]);
     for kind in EngineKind::all() {
-        let engine = engine_for(kind);
-        let opts = ExecOptions::for_engine(kind);
+        let q = QueryBuilder::from_query(query.clone())
+            .engine(kind)
+            .build()
+            .unwrap();
         for result in [
-            engine.prepare(&ctx, &query, &opts).map(|_| ()),
-            engine.execute(&ctx, &query, &opts).map(|_| ()),
-            engine.stream(&ctx, &query, &opts).map(|_| ()),
+            q.prepare(&ctx).map(|_| ()),
+            q.execute(&ctx).map(|_| ()),
+            q.rows(&ctx).map(|_| ()),
         ] {
             assert!(
                 matches!(result, Err(CoreError::UnknownAttribute(ref a)) if a == "not_a_var"),
@@ -273,8 +271,8 @@ fn unknown_output_attribute_fails_fast_everywhere() {
     }
 }
 
-/// The engine trait objects report their own kind, and prepare describes
-/// the query without executing it.
+/// Prepare reports the engine it was asked for and describes the query
+/// without executing it.
 #[test]
 fn prepare_reports_engine_and_shape() {
     let (db, doc) = random_instance(5, 4, 10, 3);
@@ -282,10 +280,11 @@ fn prepare_reports_engine_and_shape() {
     let ctx = DataContext::new(&db, &doc, &index);
     let query = MultiModelQuery::new(&["S"], &["//r//x"]).unwrap();
     for kind in EngineKind::all() {
-        let engine = engine_for(kind);
-        assert_eq!(engine.kind(), kind);
-        let plan = engine
-            .prepare(&ctx, &query, &ExecOptions::for_engine(kind))
+        let plan = QueryBuilder::from_query(query.clone())
+            .engine(kind)
+            .build()
+            .unwrap()
+            .prepare(&ctx)
             .unwrap();
         assert_eq!(plan.engine, kind);
         assert!(plan.order.iter().any(|a| a.name() == "x"));

@@ -1,5 +1,5 @@
 //! Acceptance suite for the `xjoin-obs` subsystem: span-tree
-//! well-formedness under parallel morsel execution, histogram quantile
+//! well-formedness across the query service's worker threads, histogram quantile
 //! error bounds, and a differential check that tracing is observation-only
 //! (enabling it changes no query result).
 //!
@@ -11,9 +11,10 @@
 use fixtures::{graph_instance, triangle_query};
 use proptest::prelude::*;
 use relational::ValueId;
-use std::sync::{Mutex, OnceLock};
-use xjoin_core::{execute, DataContext, EngineKind, ExecOptions, Parallelism};
+use std::sync::{Arc, Mutex, OnceLock};
+use xjoin_core::{execute, DataContext, EngineKind, ExecOptions};
 use xjoin_obs::{Histogram, Trace};
+use xjoin_store::{PreparedQuery, QueryService, VersionedStore};
 
 fn tracer_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -22,23 +23,31 @@ fn tracer_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs the triangle query morsel-parallel with tracing enabled and returns
-/// the collected trace plus the query's result rows.
-fn traced_triangle_run(seed: u64, threads: usize) -> (Trace, Vec<Vec<ValueId>>) {
+/// Runs the triangle query as `jobs` jobs on a [`QueryService`] pool of
+/// `workers` threads with tracing enabled, and returns the collected trace
+/// plus each job's result rows. Dropping the service joins its workers, and
+/// each worker flushes its span ring on exit, so every lane is collected.
+fn traced_service_run(seed: u64, workers: usize, jobs: usize) -> (Trace, Vec<Vec<Vec<ValueId>>>) {
     let inst = graph_instance(120, 900, seed);
-    let idx = inst.index();
-    let ctx = DataContext::new(&inst.db, &inst.doc, &idx);
-    let opts = ExecOptions {
-        engine: EngineKind::Lftj,
-        parallelism: Parallelism::Threads(threads),
-        ..Default::default()
-    };
+    let store = VersionedStore::new(inst.db, inst.doc);
+    let snap = store.snapshot();
+    let opts = ExecOptions::for_engine(EngineKind::Lftj);
+    let prepared = Arc::new(PreparedQuery::prepare(&snap, &triangle_query(), opts).unwrap());
     xjoin_obs::enable();
-    let out = execute(&ctx, &triangle_query(), &opts).expect("triangle runs");
+    let service = QueryService::new(workers);
+    let outs = service.run_all((0..jobs).map(|_| (Arc::clone(&prepared), snap.clone())));
+    drop(service);
     xjoin_obs::disable();
     xjoin_obs::flush_thread();
     let trace = xjoin_obs::take_trace();
-    (trace, out.results.rows().map(|r| r.to_vec()).collect())
+    let rows = outs
+        .into_iter()
+        .map(|out| {
+            let out = out.expect("triangle runs");
+            out.results.rows().map(|r| r.to_vec()).collect()
+        })
+        .collect();
+    (trace, rows)
 }
 
 /// Every lane of a collected trace must be a well-formed span forest:
@@ -94,21 +103,23 @@ fn assert_well_formed(trace: &Trace) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Span trees stay well-formed whatever the morsel fan-out, and the
-    /// worker lanes actually carry the per-morsel spans.
+    /// Span trees stay well-formed on every lane when jobs run on several
+    /// service workers at once, and the worker lanes carry one job span per
+    /// submitted job.
     #[test]
-    fn span_tree_well_formed_under_parallel_morsels(seed in 0u64..1000, threads in 2usize..5) {
+    fn span_tree_well_formed_across_service_workers(seed in 0u64..1000, workers in 2usize..5) {
         let _guard = tracer_lock();
-        let (trace, rows) = traced_triangle_run(seed, threads);
-        prop_assert!(!rows.is_empty() || trace.total_events() > 0);
+        let jobs = 2 * workers;
+        let (trace, rows) = traced_service_run(seed, workers, jobs);
+        prop_assert!(rows.windows(2).all(|w| w[0] == w[1]), "jobs disagree");
         assert_well_formed(&trace);
-        let morsel_spans: usize = trace
+        let job_spans: usize = trace
             .threads
             .iter()
-            .filter(|t| t.thread.starts_with("xjoin-morsel"))
-            .map(|t| t.events.iter().filter(|e| e.name == "morsel").count())
+            .filter(|t| t.thread.starts_with("xjoin-worker"))
+            .map(|t| t.events.iter().filter(|e| e.name == "execute-job").count())
             .sum();
-        prop_assert!(morsel_spans > 0, "no morsel spans in worker lanes");
+        prop_assert_eq!(job_spans, jobs, "job spans missing from the worker lanes");
     }
 
     /// Log-linear histogram quantiles are upper bounds within 6.25% of the
@@ -143,7 +154,7 @@ proptest! {
 
 /// Differential: the tracer observes, it never perturbs. The same query on
 /// the same data returns identical rows in identical order with tracing
-/// off and on, serial and morsel-parallel, for every plan-based engine.
+/// off and on, for the walk-based engines.
 #[test]
 fn tracing_on_off_leaves_query_output_identical() {
     let _guard = tracer_lock();
@@ -152,36 +163,30 @@ fn tracing_on_off_leaves_query_output_identical() {
     let ctx = DataContext::new(&inst.db, &inst.doc, &idx);
     let q = triangle_query();
     for engine in [EngineKind::Lftj, EngineKind::XJoinStream] {
-        for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let opts = ExecOptions {
-                engine,
-                parallelism,
-                ..Default::default()
-            };
-            xjoin_obs::disable();
-            let plain = execute(&ctx, &q, &opts).expect("runs untraced");
-            xjoin_obs::enable();
-            let traced = execute(&ctx, &q, &opts).expect("runs traced");
-            xjoin_obs::disable();
-            let rows = |out: &xjoin_core::QueryOutput| -> Vec<Vec<ValueId>> {
-                out.results.rows().map(|r| r.to_vec()).collect()
-            };
-            assert_eq!(
-                rows(&plain),
-                rows(&traced),
-                "{engine}/{parallelism:?}: tracing changed the result rows"
-            );
-            assert_eq!(
-                plain.results.schema(),
-                traced.results.schema(),
-                "{engine}/{parallelism:?}: tracing changed the schema"
-            );
-            assert_eq!(
-                plain.stats.max_intermediate(),
-                traced.stats.max_intermediate(),
-                "{engine}/{parallelism:?}: tracing changed the work done"
-            );
-        }
+        let opts = ExecOptions::for_engine(engine);
+        xjoin_obs::disable();
+        let plain = execute(&ctx, &q, &opts).expect("runs untraced");
+        xjoin_obs::enable();
+        let traced = execute(&ctx, &q, &opts).expect("runs traced");
+        xjoin_obs::disable();
+        let rows = |out: &xjoin_core::QueryOutput| -> Vec<Vec<ValueId>> {
+            out.results.rows().map(|r| r.to_vec()).collect()
+        };
+        assert_eq!(
+            rows(&plain),
+            rows(&traced),
+            "{engine}: tracing changed the result rows"
+        );
+        assert_eq!(
+            plain.results.schema(),
+            traced.results.schema(),
+            "{engine}: tracing changed the schema"
+        );
+        assert_eq!(
+            plain.stats.max_intermediate(),
+            traced.stats.max_intermediate(),
+            "{engine}: tracing changed the work done"
+        );
     }
     // Drain anything the traced runs collected so later tracer tests in
     // this binary start from an empty collector.

@@ -3,19 +3,16 @@
 //! contract corner (empty ranges, `lo >= len`, single-element levels), the
 //! `Bitset` level layout must be transparent — walks over bitset-indexed
 //! tries equal walks over plain `SortedVec` tries — and the batched block
-//! kernel must enumerate exactly the scalar kernel's tuples, including under
-//! restricted root ranges and morsel-parallel execution (`XJOIN_TEST_THREADS`
-//! joins the thread sweep when set, as the CI's forced multi-thread pass
-//! does). Case counts drop under Miri (`cfg!(miri)`), which interprets every
-//! load of the new index arithmetic.
+//! kernel must enumerate exactly the scalar kernel's tuples. Case counts
+//! drop under Miri (`cfg!(miri)`), which interprets every load of the new
+//! index arithmetic.
 
 use proptest::prelude::*;
 use relational::{
     block_seek, gallop, Attr, JoinPlan, LftjWalk, ProbeKernel, Relation, Schema, Trie, TrieBuilder,
-    ValueId, ValueRange,
+    ValueId,
 };
 use std::sync::Arc;
-use xjoin_core::{execute, DataContext, EngineKind, ExecOptions, Parallelism};
 
 /// Builds a binary relation from raw value pairs.
 fn rel_from(rows: &[(u32, u32)], a: &str, b: &str) -> Relation {
@@ -37,15 +34,10 @@ fn tries_with(builder: &mut TrieBuilder, rels: &[&Relation], order: &[Attr]) -> 
         .collect()
 }
 
-/// Drains a full walk under `kernel` over `root`, returning the tuples.
-fn join_rows(
-    tries: Vec<Arc<Trie>>,
-    order: &[Attr],
-    kernel: ProbeKernel,
-    root: ValueRange,
-) -> Vec<Vec<ValueId>> {
+/// Drains a full walk under `kernel`, returning the tuples.
+fn join_rows(tries: Vec<Arc<Trie>>, order: &[Attr], kernel: ProbeKernel) -> Vec<Vec<ValueId>> {
     let plan = JoinPlan::from_shared(tries, order).unwrap();
-    let mut walk = LftjWalk::with_kernel(plan, root, kernel);
+    let mut walk = LftjWalk::with_kernel(plan, kernel);
     let mut out = Vec::new();
     while let Some(t) = walk.next_tuple() {
         out.push(t.to_vec());
@@ -115,52 +107,17 @@ proptest! {
                 "min_nodes=1 must index every non-empty level"
             );
         }
-        let reference = join_rows(plain.clone(), &order, ProbeKernel::Scalar, ValueRange::all());
+        let reference = join_rows(plain.clone(), &order, ProbeKernel::Scalar);
         for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
             prop_assert_eq!(
-                &join_rows(plain.clone(), &order, kernel, ValueRange::all()),
+                &join_rows(plain.clone(), &order, kernel),
                 &reference, "plain/{:?}", kernel
             );
             prop_assert_eq!(
-                &join_rows(forced.clone(), &order, kernel, ValueRange::all()),
+                &join_rows(forced.clone(), &order, kernel),
                 &reference, "bitset/{:?}", kernel
             );
         }
-    }
-
-    // Kernel equivalence under restricted root ranges (the morsel substrate):
-    // any `[lo, hi)` window over the first variable yields the same tuples
-    // from both kernels, on plain and bitset-indexed tries alike.
-    #[test]
-    fn kernels_agree_under_random_root_ranges(
-        r_rows in prop::collection::vec((0u32..16, 0u32..16), 0..70),
-        s_rows in prop::collection::vec((0u32..16, 0u32..16), 0..70),
-        lo in 0u32..18,
-        width in 0u32..18,
-        unbounded in any::<bool>(),
-    ) {
-        let r = rel_from(&r_rows, "a", "b");
-        let s = rel_from(&s_rows, "b", "c");
-        let order: Vec<Attr> = vec!["a".into(), "b".into(), "c".into()];
-        let root = ValueRange {
-            lo: ValueId(lo),
-            hi: (!unbounded).then(|| ValueId(lo + width)),
-        };
-        let mut forced_b = TrieBuilder::new();
-        forced_b.set_bitset_min_nodes(1);
-        let mut plain_b = TrieBuilder::new().with_bitset_levels(false);
-        let plain = tries_with(&mut plain_b, &[&r, &s], &order);
-        let forced = tries_with(&mut forced_b, &[&r, &s], &order);
-        let reference = join_rows(plain.clone(), &order, ProbeKernel::Scalar, root.clone());
-        prop_assert!(reference.iter().all(|t| root.contains(t[0])));
-        prop_assert_eq!(
-            &join_rows(plain, &order, ProbeKernel::Block, root.clone()),
-            &reference
-        );
-        prop_assert_eq!(
-            &join_rows(forced, &order, ProbeKernel::Block, root),
-            &reference
-        );
     }
 
     // Single-atom walks stress the k == 1 bulk-copy refill path across batch
@@ -173,71 +130,11 @@ proptest! {
         let order: Vec<Attr> = vec!["a".into(), "b".into()];
         let mut plain_b = TrieBuilder::new().with_bitset_levels(false);
         let plain = tries_with(&mut plain_b, &[&r], &order);
-        let scalar = join_rows(plain.clone(), &order, ProbeKernel::Scalar, ValueRange::all());
-        let block = join_rows(plain, &order, ProbeKernel::Block, ValueRange::all());
+        let scalar = join_rows(plain.clone(), &order, ProbeKernel::Scalar);
+        let block = join_rows(plain, &order, ProbeKernel::Block);
         prop_assert_eq!(&block, &scalar);
         let mut expect = r.clone();
         expect.sort_dedup();
         prop_assert_eq!(block.len(), expect.len());
-    }
-}
-
-/// Worker counts for the executor-level check; `XJOIN_TEST_THREADS` (set by
-/// the CI's forced multi-thread pass) joins the sweep when present, so the
-/// suite genuinely differs between the two CI test modes.
-fn thread_counts() -> Vec<usize> {
-    let mut ns = vec![2usize];
-    if let Some(n) = std::env::var("XJOIN_TEST_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if n > 1 && !ns.contains(&n) {
-            ns.push(n);
-        }
-    }
-    ns
-}
-
-/// End-to-end: the default (block) kernel under morsel-parallel execution
-/// returns the serial result on graph workloads whose tries carry bitset
-/// levels — the batched refill must resume correctly inside clamped root
-/// ranges on every worker.
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "spawns threads over a large instance; the per-seek arithmetic is covered by the proptests above"
-)]
-fn parallel_block_kernel_matches_serial_on_bitset_workloads() {
-    use fixtures::{graph_instance, triangle_query};
-    let inst = graph_instance(96, 1800, 7);
-    let idx = inst.index();
-    let ctx = DataContext::new(&inst.db, &inst.doc, &idx);
-    let q = triangle_query();
-    let serial = execute(&ctx, &q, &ExecOptions::for_engine(EngineKind::Lftj)).unwrap();
-    assert!(
-        serial.stats.bitset_levels > 0,
-        "dense graph tries must carry bitset levels"
-    );
-    let signature = |rel: &Relation| {
-        let mut rows: Vec<Vec<ValueId>> = rel.rows().map(|r| r.to_vec()).collect();
-        rows.sort();
-        rows
-    };
-    for n in thread_counts() {
-        let parallel = execute(
-            &ctx,
-            &q,
-            &ExecOptions {
-                engine: EngineKind::Lftj,
-                parallelism: Parallelism::Threads(n),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            signature(&parallel.results),
-            signature(&serial.results),
-            "threads {n}: parallel multiset != serial"
-        );
     }
 }

@@ -4,15 +4,12 @@
 //! row budgets must come back as structured replies, malformed frames must
 //! not take the server down, admission must accept/queue/reject at forced
 //! AGM thresholds, and graceful shutdown must drain in-flight queries.
-//!
-//! The worker pool size follows `XJOIN_TEST_THREADS` when set (the CI's
-//! forced multi-thread pass), so the whole suite runs in both serial and
-//! parallel service configurations.
 
 use fixtures::{bookstore, decoded, graph_instance};
 use relational::Value;
 use std::sync::Arc;
 use xjoin_core::{parse_query, EngineKind, ExecOptions};
+use xjoin_serve::protocol::{op, MAGIC, VERSION};
 use xjoin_serve::{
     AdmissionPolicy, Client, ErrorCode, RequestOpts, Response, Server, ServerConfig, ServerHandle,
     WireError,
@@ -26,12 +23,18 @@ const BOOKSTORE_QUERY: &str =
 /// AGM bound is |E|² — the canonical expensive query.
 const CLIQUE4_QUERY: &str = "Q(a, b, c, d) :- E(a, b), E(a, c), E(a, d), E(b, c), E(b, d), E(c, d)";
 
-/// Service worker count: honours the CI's forced multi-thread pass.
-fn workers() -> usize {
-    std::env::var("XJOIN_TEST_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
+/// Service worker count of every test server.
+const WORKERS: usize = 2;
+
+/// A raw frame: the 8-byte header for `version` / `opcode` / the payload
+/// length, then `payload`.
+fn frame(version: u8, opcode: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.push(version);
+    out.push(opcode);
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 fn bookstore_server(admission: AdmissionPolicy) -> (Arc<VersionedStore>, ServerHandle) {
@@ -40,7 +43,7 @@ fn bookstore_server(admission: AdmissionPolicy) -> (Arc<VersionedStore>, ServerH
     let handle = Server::spawn(
         Arc::clone(&store),
         ServerConfig {
-            workers: workers(),
+            workers: WORKERS,
             admission,
             ..Default::default()
         },
@@ -209,7 +212,7 @@ fn expired_deadline_returns_a_structured_deadline_error() {
         200,
         3000,
         ServerConfig {
-            workers: workers(),
+            workers: WORKERS,
             ..Default::default()
         },
     );
@@ -268,9 +271,9 @@ fn malformed_and_truncated_frames_get_structured_errors() {
 
     // Oversized announced payload (1 GiB).
     let mut client = Client::connect(handle.addr()).unwrap();
-    let mut frame = b"XJ\x01\x01".to_vec();
-    frame.extend_from_slice(&(1u32 << 30).to_be_bytes());
-    match client.send_raw(&frame).unwrap() {
+    let mut oversized = frame(VERSION, op::QUERY, &[]);
+    oversized[4..].copy_from_slice(&(1u32 << 30).to_be_bytes());
+    match client.send_raw(&oversized).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected malformed error, got {other:?}"),
     }
@@ -282,23 +285,25 @@ fn malformed_and_truncated_frames_get_structured_errors() {
     {
         use std::io::Write;
         let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-        raw.write_all(b"XJ\x01\x01\x00\x00\x00").unwrap();
+        raw.write_all(&frame(VERSION, op::QUERY, &[])[..7]).unwrap();
         raw.flush().unwrap();
     }
     // Same for a payload shorter than its announced length.
     {
         use std::io::Write;
         let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-        raw.write_all(b"XJ\x01\x01\x00\x00\x00\x10hello").unwrap();
+        let mut short = frame(VERSION, op::QUERY, b"hello");
+        short[4..8].copy_from_slice(&16u32.to_be_bytes());
+        raw.write_all(&short).unwrap();
         raw.flush().unwrap();
     }
 
     // A QUERY whose payload is garbage (undecodable options).
     let mut client = Client::connect(handle.addr()).unwrap();
-    let mut frame = b"XJ\x01\x01".to_vec();
-    frame.extend_from_slice(&2u32.to_be_bytes());
-    frame.extend_from_slice(&[0xFF, 0xFF]);
-    match client.send_raw(&frame).unwrap() {
+    match client
+        .send_raw(&frame(VERSION, op::QUERY, &[0xFF, 0xFF]))
+        .unwrap()
+    {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected malformed error, got {other:?}"),
     }
@@ -324,6 +329,52 @@ fn malformed_and_truncated_frames_get_structured_errors() {
         )
         .unwrap();
     assert!(matches!(ok, Response::Rows(_)));
+    handle.shutdown();
+}
+
+/// No frame can ask the server for threads: a version-1 `QUERY` carrying
+/// the retired parallelism tail set to `u32::MAX` threads, and a version-2
+/// `QUERY` setting the retired arrival-order flag bit, both get `Malformed`,
+/// and the server keeps serving fresh connections.
+#[test]
+fn thread_requests_and_unknown_option_flags_are_malformed() {
+    let (_store, handle) = bookstore_server(AdmissionPolicy::default());
+    let text = b"Q(a, b) :- R(a, b)";
+    let query_payload = |options: &[u8]| {
+        let mut payload = options.to_vec();
+        payload.extend_from_slice(&0u32.to_be_bytes()); // deadline_ms
+        payload.extend_from_slice(&0u64.to_be_bytes()); // row_budget
+        payload.extend_from_slice(text);
+        payload
+    };
+    // Options as version 1 laid them out: engine, order, flags, limit, then
+    // the parallelism tag (1 = a thread count) and the count itself.
+    let mut v1_options = vec![0u8, 0, 0];
+    v1_options.extend_from_slice(&u64::MAX.to_be_bytes());
+    v1_options.push(1);
+    v1_options.extend_from_slice(&u32::MAX.to_be_bytes());
+    // Version-2 options with flag bit 2 set.
+    let mut flagged = vec![0u8, 0, 0b100];
+    flagged.extend_from_slice(&u64::MAX.to_be_bytes());
+    for raw in [
+        frame(1, op::QUERY, &query_payload(&v1_options)),
+        frame(VERSION, op::QUERY, &query_payload(&flagged)),
+    ] {
+        let mut client = Client::connect(handle.addr()).unwrap();
+        match client.send_raw(&raw).unwrap() {
+            Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected malformed error, got {other:?}"),
+        }
+    }
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let ok = client
+        .query(
+            BOOKSTORE_QUERY,
+            &ExecOptions::default(),
+            RequestOpts::default(),
+        )
+        .unwrap();
+    assert!(matches!(ok, Response::Rows(_)), "{ok:?}");
     handle.shutdown();
 }
 
@@ -365,7 +416,7 @@ fn exec_of_unknown_or_evicted_statement_errors() {
     let handle = Server::spawn(
         Arc::clone(&store),
         ServerConfig {
-            workers: workers(),
+            workers: WORKERS,
             stmt_cache_capacity: 1,
             ..Default::default()
         },
@@ -530,7 +581,7 @@ fn graceful_shutdown_drains_in_flight_queries() {
         60,
         500,
         ServerConfig {
-            workers: workers(),
+            workers: WORKERS,
             ..Default::default()
         },
     );

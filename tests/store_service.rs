@@ -3,13 +3,16 @@
 //! single-threaded `xjoin`, snapshots isolate queries from writes, and
 //! sustained append churn resolves through delta overlays that stay
 //! result-identical to full rebuilds while the registry honours its byte
-//! budget and sheds superseded trie versions.
+//! budget and sheds superseded trie versions, and the per-level summaries
+//! the adaptive walk reads stay exact under append churn.
 
 use fixtures::{bookstore, bookstore_query, fig3_query, fig3_tight};
-use relational::{Schema, Value};
+use proptest::prelude::*;
+use relational::{Attr, Database, DeltaTrie, LevelSummary, Relation, Schema, Trie, Value};
 use std::sync::Arc;
-use xjoin_core::{execute, EngineKind, ExecOptions, MultiModelQuery, Parallelism};
+use xjoin_core::{execute, EngineKind, ExecOptions, MultiModelQuery};
 use xjoin_store::{DeltaPolicy, PreparedQuery, QueryService, TrieRegistry, VersionedStore};
+use xmldb::XmlDocument;
 
 fn bookstore_store() -> VersionedStore {
     let inst = bookstore();
@@ -130,8 +133,7 @@ fn snapshots_isolate_in_flight_queries_from_writes() {
 }
 
 /// Concurrency stress: writers bump the store's epochs in a tight loop
-/// while morsel-parallel queries (service workers × morsel workers) execute
-/// against pinned snapshots. Every result must match the pinned snapshot's
+/// while queries run on four service workers against pinned snapshots. Every result must match the pinned snapshot's
 /// serial answer even though each rewrite eagerly purges the superseded
 /// trie versions from the shared `TrieRegistry` — queries re-resolve purged
 /// entries on demand from their own immutable snapshot state.
@@ -142,16 +144,8 @@ fn writers_never_perturb_parallel_queries_on_pinned_snapshots() {
     let snap = store.snapshot();
     let q = fig3_query();
     let prepared = Arc::new(
-        PreparedQuery::prepare(
-            &snap,
-            &q,
-            ExecOptions {
-                engine: EngineKind::XJoinStream,
-                parallelism: Parallelism::Threads(3),
-                ..Default::default()
-            },
-        )
-        .unwrap(),
+        PreparedQuery::prepare(&snap, &q, ExecOptions::for_engine(EngineKind::XJoinStream))
+            .unwrap(),
     );
     // The pinned snapshot's serial answer, and a warm cache: after this,
     // any further miss would be a duplicate build.
@@ -191,11 +185,11 @@ fn writers_never_perturb_parallel_queries_on_pinned_snapshots() {
         for (i, r) in results.into_iter().enumerate() {
             assert!(
                 r.unwrap().results.set_eq(&expect.results),
-                "job {i}: parallel query on the pinned snapshot diverged under writes"
+                "job {i}: query on the pinned snapshot diverged under writes"
             );
         }
     });
-    // Rewrites invalidate eagerly, so the parallel fan-out may have had to
+    // Rewrites invalidate eagerly, so the concurrent jobs may have had to
     // re-resolve R1 mid-churn; the counters only ever move forward.
     assert!(store.registry().stats().misses >= warm.misses);
 
@@ -238,8 +232,8 @@ fn writers_never_perturb_parallel_queries_on_pinned_snapshots() {
 
 /// Sustained churn: a stream of appends resolves through delta overlays
 /// (walk engines) or compact-and-upgrade (level-wise engines), and every
-/// plan-based engine in both thread modes stays result-identical to a
-/// cache-free rebuild of the same snapshot at every step.
+/// engine stays result-identical to a cache-free rebuild of the same
+/// snapshot at every step.
 #[test]
 fn sustained_churn_delta_results_match_rebuilds_across_engines() {
     let engines = [
@@ -248,65 +242,57 @@ fn sustained_churn_delta_results_match_rebuilds_across_engines() {
         EngineKind::XJoin,
         EngineKind::Generic,
     ];
-    let modes = [Parallelism::Serial, Parallelism::Threads(4)];
     for kind in engines {
-        for par in modes {
-            let inst = fig3_tight(3);
-            let base_rows = inst.db.decode(inst.db.relation("R1").unwrap());
-            let store = VersionedStore::new(inst.db, inst.doc);
-            // Ratio 0.5 over a 3-row base: the first append overlays, the
-            // second trips compaction — both paths run in every iteration
-            // of the outer loops.
-            store.set_delta_policy(DeltaPolicy {
-                enabled: true,
-                compact_ratio: 0.5,
-            });
-            let q = fig3_query();
-            let opts = ExecOptions {
-                engine: kind,
-                parallelism: par,
-                ..Default::default()
-            };
-            let prepared = PreparedQuery::prepare(&store.snapshot(), &q, opts.clone()).unwrap();
-            let mut last = prepared.execute(&store.snapshot()).unwrap().results.len();
-            for step in 0..6 {
-                // Off-diagonal rows (B of row i, D of row j) join with twig
-                // matches the diagonal base misses, so results really grow;
-                // the six steps enumerate the six distinct off-diagonal
-                // pairs of a 3-row base.
-                let i = step / 2;
-                let j = (i + 1 + step % 2) % base_rows.len();
-                let row = vec![
-                    base_rows[i][0].clone(),
-                    base_rows[i][1].clone(),
-                    base_rows[i][2].clone(),
-                    base_rows[j][3].clone(),
-                ];
-                store.append("R1", vec![row]).unwrap();
-                let snap = store.snapshot();
-                let out = prepared.execute(&snap).unwrap();
-                let expect = execute(&snap.ctx(), &q, &opts).unwrap();
-                assert!(
-                    out.results.set_eq(&expect.results),
-                    "{kind:?}/{par:?} step {step}: delta-backed results diverge from rebuild"
-                );
-                assert!(
-                    out.results.len() > last,
-                    "{kind:?}/{par:?} step {step}: append did not change the result"
-                );
-                last = out.results.len();
-            }
-            let stats = store.registry().stats();
+        let inst = fig3_tight(3);
+        let base_rows = inst.db.decode(inst.db.relation("R1").unwrap());
+        let store = VersionedStore::new(inst.db, inst.doc);
+        // Ratio 0.5 over a 3-row base: the first append overlays, the
+        // second trips compaction — both paths run for every engine.
+        store.set_delta_policy(DeltaPolicy {
+            enabled: true,
+            compact_ratio: 0.5,
+        });
+        let q = fig3_query();
+        let opts = ExecOptions::for_engine(kind);
+        let prepared = PreparedQuery::prepare(&store.snapshot(), &q, opts.clone()).unwrap();
+        let mut last = prepared.execute(&store.snapshot()).unwrap().results.len();
+        for step in 0..6 {
+            // Off-diagonal rows (B of row i, D of row j) join with twig
+            // matches the diagonal base misses, so results really grow;
+            // the six steps enumerate the six distinct off-diagonal
+            // pairs of a 3-row base.
+            let i = step / 2;
+            let j = (i + 1 + step % 2) % base_rows.len();
+            let row = vec![
+                base_rows[i][0].clone(),
+                base_rows[i][1].clone(),
+                base_rows[i][2].clone(),
+                base_rows[j][3].clone(),
+            ];
+            store.append("R1", vec![row]).unwrap();
+            let snap = store.snapshot();
+            let out = prepared.execute(&snap).unwrap();
+            let expect = execute(&snap.ctx(), &q, &opts).unwrap();
             assert!(
-                stats.compactions > 0,
-                "{kind:?}/{par:?}: ratio 0.5 never triggered a compaction"
+                out.results.set_eq(&expect.results),
+                "{kind:?} step {step}: delta-backed results diverge from rebuild"
             );
-            if matches!(kind, EngineKind::Lftj | EngineKind::XJoinStream) {
-                assert!(
-                    stats.overlays > 0,
-                    "{kind:?}/{par:?}: walk engine never used a delta overlay"
-                );
-            }
+            assert!(
+                out.results.len() > last,
+                "{kind:?} step {step}: append did not change the result"
+            );
+            last = out.results.len();
+        }
+        let stats = store.registry().stats();
+        assert!(
+            stats.compactions > 0,
+            "{kind:?}: ratio 0.5 never triggered a compaction"
+        );
+        if matches!(kind, EngineKind::Lftj | EngineKind::XJoinStream) {
+            assert!(
+                stats.overlays > 0,
+                "{kind:?}: walk engine never used a delta overlay"
+            );
         }
     }
 }
@@ -416,4 +402,88 @@ fn service_scales_across_snapshots_of_different_sizes() {
     let expect_big = execute(&snap_big.ctx(), &q, &ExecOptions::default()).unwrap();
     assert_eq!(sizes[0], expect_small.results.len());
     assert_eq!(sizes[1], expect_big.results.len());
+}
+
+/// Brute-force level summaries of a relation under set semantics: at level
+/// `l`, `nodes` is the number of distinct `l + 1`-prefixes and `distinct`
+/// the number of distinct values in column `l` — exactly what
+/// [`Trie::level_summary`] must report for a trie built from the relation.
+fn expected_summaries(rel: &Relation) -> Vec<LevelSummary> {
+    let arity = rel.schema().attrs().len();
+    (0..arity)
+        .map(|level| {
+            let mut prefixes = std::collections::BTreeSet::new();
+            let mut values = std::collections::BTreeSet::new();
+            for row in rel.rows() {
+                prefixes.insert(row[..=level].to_vec());
+                values.insert(row[level]);
+            }
+            LevelSummary {
+                nodes: prefixes.len() as u64,
+                distinct: values.len() as u64,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The adaptive walk's cardinality summaries stay exact under
+    /// [`VersionedStore::append`] churn: after every random batch, tries
+    /// built from the stored relation (fast path and reference path alike)
+    /// report the brute-force summaries, the delta overlay's summary bound
+    /// dominates them, and compaction tightens the bound back to exact.
+    #[test]
+    fn level_summaries_stay_exact_under_append_churn(
+        init in prop::collection::vec((0i64..10, 0i64..10), 1..24),
+        batches in prop::collection::vec(
+            prop::collection::vec((0i64..10, 0i64..10), 1..10), 1..4),
+    ) {
+        let mut db = Database::new();
+        let rows: Vec<Vec<Value>> = init
+            .iter()
+            .map(|&(x, y)| vec![Value::Int(x), Value::Int(y)])
+            .collect();
+        db.load("T", Schema::of(&["a", "b"]), rows).unwrap();
+        let mut dict = db.dict().clone();
+        let mut b = XmlDocument::builder();
+        b.add_node(None, "r", None);
+        let doc = b.build(&mut dict);
+        *db.dict_mut() = dict;
+        let store = VersionedStore::new(db, doc);
+        let order: Vec<Attr> = vec!["a".into(), "b".into()];
+
+        let base = Trie::build(store.snapshot().db().relation("T").unwrap(), &order).unwrap();
+        let mut delta = DeltaTrie::new(Arc::new(base));
+
+        for batch in &batches {
+            let from = store.snapshot().relation_version("T").unwrap();
+            let to = store
+                .append("T", batch.iter().map(|&(x, y)| vec![Value::Int(x), Value::Int(y)]))
+                .unwrap();
+            let snap = store.snapshot();
+            for seg in snap.delta_rows("T", from, to).expect("append logged a delta segment") {
+                delta.push_run(Arc::new(Trie::build(&seg, &order).unwrap())).unwrap();
+            }
+
+            let rel = snap.db().relation("T").unwrap();
+            let expect = expected_summaries(rel);
+            let fast = Trie::build(rel, &order).unwrap();
+            let reference = Trie::build_reference(rel, &order).unwrap();
+            let compacted = delta.compact().unwrap();
+            for (level, want) in expect.iter().enumerate() {
+                prop_assert_eq!(fast.level_summary(level), *want, "fast build, level {}", level);
+                prop_assert_eq!(reference.level_summary(level), *want,
+                    "reference build, level {}", level);
+                prop_assert_eq!(compacted.level_summary(level), *want,
+                    "compacted overlay, level {}", level);
+                let bound = delta.level_summary_bound(level);
+                prop_assert!(
+                    bound.nodes >= want.nodes && bound.distinct >= want.distinct,
+                    "level {}: overlay bound {:?} must dominate exact {:?}", level, bound, want
+                );
+            }
+        }
+    }
 }

@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use relational::{Attr, Dict, ValueId};
 use std::collections::BTreeSet;
 use xjoin_core::{
-    execute, DataContext, EngineKind, ExecOptions, MultiModelQuery, RelAlg, TwigValidator, XmlAlg,
+    baseline, execute, BaselineConfig, DataContext, EngineKind, ExecOptions, MultiModelQuery,
+    RelAlg, TwigValidator, XmlAlg,
 };
 use xmldb::generator::{random_document, RandomTreeConfig};
 use xmldb::structural::{naive_structural_join, stack_tree_join};
@@ -411,11 +412,11 @@ fn engines_agree_with_the_baseline_and_expand_exactly_as_before() {
         let ctx = DataContext::new(&inst.db, &inst.doc, &index);
         // The baseline matches each twig on its own (TwigStack) and merges
         // on values; it never calls the validator.
-        let baseline = EngineKind::Baseline {
+        let cfg = BaselineConfig {
             rel_alg: RelAlg::Hash,
             xml_alg: XmlAlg::TwigStack,
         };
-        let reference = execute(&ctx, query, &ExecOptions::for_engine(baseline)).unwrap();
+        let reference = baseline(&ctx, query, &cfg).unwrap();
         assert!(!reference.results.is_empty(), "{name}");
         for engine in [
             EngineKind::XJoin,
