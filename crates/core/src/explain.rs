@@ -236,7 +236,7 @@ pub struct AnalyzeReport {
 }
 
 /// `EXPLAIN ANALYZE`: resolves the query, builds its tries, and **runs** a
-/// probe-counting serial [`LftjWalk`] (block kernel) over the plan, so the
+/// probe-counting serial [`LftjWalk`] over the plan, so the
 /// report can put *measured* per-level bindings and probe work next to the
 /// Lemma 3.5 bounds [`explain`] only predicts. Spans land in the
 /// `xjoin-obs` tracer when it is enabled.
@@ -378,7 +378,7 @@ impl AnalyzeReport {
     /// per-level table and the stage wall-time split.
     pub fn render(&self) -> String {
         let mut out = self.explanation.render();
-        let _ = writeln!(out, "measured per level (serial lftj, block kernel):");
+        let _ = writeln!(out, "measured per level (serial lftj):");
         let _ = writeln!(
             out,
             "  {:<12} {:>14} {:>12} {:>10} {:>10} {:>12} {:>9} {:>13}",
@@ -529,8 +529,8 @@ mod tests {
         // The tiny instance joins to one row; every level binds it.
         assert_eq!(a.output_rows, 1);
         assert!(a.levels.iter().all(|l| l.actual > 0));
-        // Too small an instance to force seeks, but the block kernel must
-        // have refilled each level's batch at least once.
+        // Too small an instance to force seeks, but the rotation must have
+        // refilled each level's batch at least once.
         assert!(a.levels.iter().all(|l| l.probe.refills > 0));
         let text = a.render();
         assert!(text.contains("tightness"), "{text}");

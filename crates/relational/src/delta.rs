@@ -2,13 +2,13 @@
 //!
 //! A [`DeltaTrie`] represents the logical relation `base ∪ run₀ ∪ run₁ ∪ …`
 //! without merging anything eagerly. Each layer is an ordinary [`Trie`]
-//! leveled by the same attribute order, so a layered atom is consumed by the
-//! walk as a *k-way union view*: at every trie level the engine unions the
-//! layers' sorted sibling ranges through the usual leapfrog
-//! `key / next / seek` contract (see `lftj::UnionCursor`), and the
+//! leveled by the same attribute order, so a layered atom is consumed by
+//! every engine as a *k-way union view*: at every trie level the engine
+//! unions the layers' sorted sibling ranges through the usual leapfrog
+//! `key / next / seek` contract (see `leapfrog::UnionCursor`), and the
 //! cross-atom intersection on top of those unions is unchanged — the merged
-//! view is still a sorted, duplicate-free trie, so worst-case optimality of
-//! the walk is preserved.
+//! view is still a sorted, duplicate-free trie, so worst-case optimality is
+//! preserved.
 //!
 //! Runs are expected to be *small* relative to the base (one run per write
 //! batch). Once [`DeltaTrie::delta_ratio`] exceeds the store's compaction

@@ -6,23 +6,21 @@
 //! result E …; Filter E …; Expand R by E") — and records each intermediate's
 //! cardinality in [`JoinStats`], which is what Lemma 3.5 bounds.
 //!
-//! Each intermediate tuple carries, per atom, the trie node reached by its
+//! Each intermediate tuple carries, per atom, the trie nodes reached by its
 //! bound prefix, so candidate generation for the next variable is a leapfrog
-//! intersection of contiguous sorted slices ("satisfying common values") and
+//! intersection of contiguous sorted ranges ("satisfying common values") and
 //! consistency with already-bound variables is implicit ("satisfying relation
-//! between p and A").
+//! between p and A"). The intersection is the LFTJ walk's: both open and
+//! rotate a variable's level through the [`crate::leapfrog`] core.
 
 use crate::error::Result;
-use crate::leapfrog::{leapfrog_foreach, SliceCursor};
+use crate::leapfrog::{frame_offsets, Level, ABSENT};
 use crate::plan::JoinPlan;
 use crate::relation::Relation;
 use crate::schema::{Attr, Schema};
-use crate::stats::JoinStats;
+use crate::stats::{JoinStats, LevelProbeStats};
 use crate::value::ValueId;
 use std::time::Instant;
-
-/// Sentinel for "no trie level bound yet" in per-atom node pointers.
-const NO_NODE: u32 = u32::MAX;
 
 /// Runs the level-wise generic join over a validated plan, returning the
 /// result relation (schema = the plan's variable order) and per-level stats.
@@ -50,6 +48,11 @@ pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
 /// returning `false` (XJoin's A-D and partial-structure filters; a plain
 /// join keeps everything).
 ///
+/// Each intermediate tuple carries its prefix's frame — per atom, the nodes
+/// its bound levels reached, one per physical run — so layered atoms expand
+/// through the union of their delta runs exactly as the LFTJ walk reads
+/// them.
+///
 /// Returns the surviving full-width tuples flattened row-major, their count,
 /// and stats holding one stage record per variable — all zero when an atom
 /// is empty or a level dies out.
@@ -57,7 +60,6 @@ pub fn levelwise_expand(
     plan: &JoinPlan,
     mut keep: impl FnMut(usize, &[ValueId], ValueId) -> bool,
 ) -> (Vec<ValueId>, usize, JoinStats) {
-    let natoms = plan.tries().len();
     let mut stats = JoinStats::default();
 
     if plan.has_empty_atom() {
@@ -67,59 +69,45 @@ pub fn levelwise_expand(
         return (Vec::new(), 0, stats);
     }
 
+    let off = frame_offsets(plan);
+    let fw = off[plan.tries().len()];
     // One initial tuple with empty prefix and no atom positioned anywhere.
     let mut width = 0usize;
     let mut tuples: Vec<ValueId> = Vec::new();
-    let mut ptrs: Vec<u32> = vec![NO_NODE; natoms];
+    let mut frames: Vec<u32> = vec![ABSENT; fw];
     let mut count = 1usize;
+    // One level state serves every prefix of every depth.
+    let mut level = Level::default();
+    let mut untracked = LevelProbeStats::default();
 
     for (d, vp) in plan.var_plans().iter().enumerate() {
         // Sized for one extension per tuple, the steady state of the later
         // levels: a buffer that doubles its way there holds the old and the
         // new copy at once, and that sets the op's peak.
         let mut next_tuples: Vec<ValueId> = Vec::with_capacity(count * (width + 1));
-        let mut next_ptrs: Vec<u32> = Vec::with_capacity(count * natoms);
+        let mut next_frames: Vec<u32> = Vec::with_capacity(count * fw);
         let mut next_count = 0usize;
-
-        let mut range_starts: Vec<u32> = Vec::with_capacity(vp.participants.len());
-        let mut cursors: Vec<SliceCursor<'_>> = Vec::with_capacity(vp.participants.len());
+        level.configure(plan, vp, &off);
 
         for t in 0..count {
             let prefix = &tuples[t * width..t * width + width];
-            let tuple_ptrs = &ptrs[t * natoms..t * natoms + natoms];
-
-            range_starts.clear();
-            cursors.clear();
-            for p in &vp.participants {
-                let trie = &plan.tries()[p.atom];
-                let range = if p.level == 0 {
-                    trie.root_range()
-                } else {
-                    let parent = tuple_ptrs[p.atom];
-                    debug_assert_ne!(parent, NO_NODE, "parent level must be bound");
-                    trie.children(p.level - 1, parent)
-                };
-                range_starts.push(range.start);
-                cursors.push(SliceCursor::new(trie.values(p.level, range)));
-            }
-
-            leapfrog_foreach(&mut cursors, |v, cs| {
+            let frame = &frames[t * fw..t * fw + fw];
+            level.open(plan, frame);
+            while let Some(v) = level.advance::<false>(plan, &mut untracked) {
                 if !keep(d, prefix, v) {
-                    return;
+                    continue;
                 }
                 next_tuples.extend_from_slice(prefix);
                 next_tuples.push(v);
-                let base = next_ptrs.len();
-                next_ptrs.extend_from_slice(tuple_ptrs);
-                for (k, p) in vp.participants.iter().enumerate() {
-                    next_ptrs[base + p.atom] = range_starts[k] + cs[k].pos() as u32;
-                }
+                let base = next_frames.len();
+                next_frames.extend_from_slice(frame);
+                level.scatter_match(&mut next_frames[base..]);
                 next_count += 1;
-            });
+            }
         }
 
         tuples = next_tuples;
-        ptrs = next_ptrs;
+        frames = next_frames;
         count = next_count;
         width = d + 1;
         stats.record_var(&vp.var, count);

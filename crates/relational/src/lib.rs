@@ -5,9 +5,10 @@
 //!
 //! * dictionary-encoded [`value::Value`]s and [`value::Dict`];
 //! * [`schema::Schema`]s and in-memory [`relation::Relation`]s;
-//! * flat sorted [`trie::Trie`]s and [`leapfrog`] intersection;
-//! * two worst-case optimal engines — the streaming [`lftj`] (Leapfrog
-//!   Triejoin, Veldhuizen 2012) and the instrumented level-wise
+//! * flat sorted [`trie::Trie`]s and the [`leapfrog`] core — one cursor
+//!   contract and one batched rotation;
+//! * two worst-case optimal engines over that core — the streaming [`lftj`]
+//!   (Leapfrog Triejoin, Veldhuizen 2012) and the instrumented level-wise
 //!   [`generic`] join (Ngo et al. 2012), whose per-level intermediate
 //!   counts are the quantity the paper's Lemma 3.5 bounds;
 //! * the classical pairwise [`hashjoin`] comparator;
@@ -39,8 +40,8 @@ pub mod value;
 pub use catalog::Database;
 pub use delta::DeltaTrie;
 pub use error::{RelError, Result};
-pub use leapfrog::{block_seek, block_seek_counted, gallop, gallop_counted};
-pub use lftj::{LftjWalk, ProbeKernel, WalkCounters};
+pub use leapfrog::{block_seek, gallop};
+pub use lftj::{LftjWalk, WalkCounters};
 pub use plan::{JoinPlan, Ladder};
 pub use relation::Relation;
 pub use schema::{Attr, Schema};

@@ -83,10 +83,8 @@ pub struct JoinPlan {
     tries: Vec<Arc<Trie>>,
     /// Per-atom delta runs overlaying [`JoinPlan::tries`] (empty vector =
     /// solid atom). A layered atom's logical content is the union
-    /// `tries[i] ∪ layers[i][0] ∪ layers[i][1] ∪ …`; only walk-based
-    /// engines (`LftjWalk` and everything built on it) consume layers —
-    /// engines that read [`JoinPlan::tries`] directly must be handed
-    /// pre-compacted plans.
+    /// `tries[i] ∪ layers[i][0] ∪ layers[i][1] ∪ …`, which every engine
+    /// reads through the leapfrog core's union cursor.
     layers: Vec<Vec<Arc<Trie>>>,
     var_plans: Vec<VarPlan>,
     /// Wall-clock time [`JoinPlan::new`] spent in [`Trie::build`] (zero for
@@ -193,10 +191,9 @@ impl JoinPlan {
     /// logical content is `tries[i]` unioned with every trie in `layers[i]`.
     ///
     /// Every run must be leveled by exactly the same attribute order as its
-    /// base trie. Layered plans are only executable by walk-based engines
-    /// ([`crate::LftjWalk`] and the streaming drivers built on it);
-    /// hand engines that consume [`JoinPlan::tries`] directly a compacted
-    /// plan instead.
+    /// base trie. Every engine executes layered plans — the LFTJ walk and
+    /// the level-wise join alike open an atom's levels over all its live
+    /// runs.
     pub fn from_shared_layered(
         tries: Vec<Arc<Trie>>,
         layers: Vec<Vec<Arc<Trie>>>,
@@ -260,8 +257,8 @@ impl JoinPlan {
     }
 
     /// The atoms' base tries (leveled consistently with
-    /// [`JoinPlan::order`]). For layered atoms this is the base layer only —
-    /// walk-based engines additionally consume [`JoinPlan::layers`].
+    /// [`JoinPlan::order`]). For layered atoms this is the base layer only;
+    /// the engines read it together with [`JoinPlan::layers`].
     pub fn tries(&self) -> &[Arc<Trie>] {
         &self.tries
     }

@@ -86,28 +86,17 @@ pub struct LevelProbeStats {
     /// Values bound at this level — distinct matching prefixes of length
     /// `level + 1`, the quantity Lemma 3.5 bounds per prefix.
     pub bindings: u64,
-    /// Seek operations issued against cursors at this level (gallop,
-    /// block-seek, or bitset seeks alike).
+    /// Seek operations issued against cursors at this level (block or
+    /// bitset seeks alike; a union cursor counts one per lagging run).
     pub seeks: u64,
     /// Probe steps spent inside sorted-array seeks: exponential-gallop
     /// probes, binary-search halvings, and scanned blocks combined.
     pub seek_steps: u64,
-    /// Batch refills performed by the block kernel (0 under the scalar
-    /// kernel).
+    /// Batch refills of the leapfrog rotation: each buffers up to 32
+    /// matches, so this counts the rotation's resumptions.
     pub refills: u64,
     /// Bitmap words examined by bitset-level seeks.
     pub bitset_words: u64,
-}
-
-impl LevelProbeStats {
-    /// Accumulates another counter set into this one.
-    pub fn merge(&mut self, other: &LevelProbeStats) {
-        self.bindings += other.bindings;
-        self.seeks += other.seeks;
-        self.seek_steps += other.seek_steps;
-        self.refills += other.refills;
-        self.bitset_words += other.bitset_words;
-    }
 }
 
 impl fmt::Display for LevelProbeStats {
@@ -150,7 +139,7 @@ pub struct JoinStats {
     /// [`LevelLayout::Bitset`] layout (0 for non-trie engines).
     pub bitset_levels: usize,
     /// Number of delta runs overlaid on the plan's base tries (0 when every
-    /// atom was solid). Walk-based engines union these lazily; see
+    /// atom was solid). Every engine unions these lazily; see
     /// `relational::delta`.
     pub delta_runs: usize,
     /// Adaptive-ordering decisions that deviated from the static schedule

@@ -135,14 +135,16 @@ impl LevelBits {
     /// First node index in `pos..hi` of `group` (whose nodes start at
     /// absolute index `group_start`) with value `>= target` — the bitmap
     /// counterpart of [`crate::leapfrog::block_seek`] over the group's
-    /// sibling slice. Returns `hi` when no such node exists.
-    pub(crate) fn seek(
+    /// sibling slice. Returns `hi` when no such node exists. With `TRACK`
+    /// the bitmap words examined are added to `examined`.
+    pub(crate) fn seek<const TRACK: bool>(
         &self,
         group: u32,
         group_start: u32,
         pos: u32,
         hi: u32,
         target: ValueId,
+        examined: &mut u64,
     ) -> u32 {
         let g = group as usize;
         let base = self.base[g];
@@ -155,6 +157,9 @@ impl LevelBits {
         if w >= w_end {
             return hi;
         }
+        if TRACK {
+            *examined += 1;
+        }
         let mut word = self.words[w] & (!0u64 << (off % 64));
         while word == 0 {
             w += 1;
@@ -162,6 +167,9 @@ impl LevelBits {
                 return hi;
             }
             word = self.words[w];
+            if TRACK {
+                *examined += 1;
+            }
         }
         let bit = word.trailing_zeros();
         let below = (self.words[w] & ((1u64 << bit) - 1)).count_ones();
@@ -170,43 +178,6 @@ impl LevelBits {
         // resolves to a node before `pos`, and the clamp keeps the seek
         // forward-only, like `block_seek` searching from `lo`.
         (group_start + self.rank[w] + below).clamp(pos, hi)
-    }
-
-    /// [`Self::seek`] with a work count: returns `(position, words)` where
-    /// `words` is the number of bitmap words examined. The position is
-    /// always identical to `seek`'s.
-    pub(crate) fn seek_counted(
-        &self,
-        group: u32,
-        group_start: u32,
-        pos: u32,
-        hi: u32,
-        target: ValueId,
-    ) -> (u32, u64) {
-        let g = group as usize;
-        let base = self.base[g];
-        if target <= base {
-            return (pos, 0);
-        }
-        let off = (target.0 - base.0) as usize;
-        let w_end = self.word_start[g + 1] as usize;
-        let mut w = self.word_start[g] as usize + off / 64;
-        if w >= w_end {
-            return (hi, 0);
-        }
-        let mut words = 1u64;
-        let mut word = self.words[w] & (!0u64 << (off % 64));
-        while word == 0 {
-            w += 1;
-            if w >= w_end {
-                return (hi, words);
-            }
-            word = self.words[w];
-            words += 1;
-        }
-        let bit = word.trailing_zeros();
-        let below = (self.words[w] & ((1u64 << bit) - 1)).count_ones();
-        ((group_start + self.rank[w] + below).clamp(pos, hi), words)
     }
 
     fn bytes(&self) -> usize {
@@ -492,7 +463,7 @@ impl Trie {
     }
 
     /// The full value array and optional bitmap index of `level` — the raw
-    /// view the batched probe kernel caches once per batch refill.
+    /// view the leapfrog rotation resolves once per batch refill.
     pub(crate) fn level_view(&self, level: usize) -> (&[ValueId], Option<&LevelBits>) {
         let l = &self.levels[level];
         (&l.vals, l.bits.as_ref())
@@ -631,11 +602,8 @@ pub struct TrieBuilder {
     summary_scratch: Vec<ValueId>,
     /// Profile of the most recent build.
     last: Option<BuildStats>,
-    /// Whether dense levels get the [`LevelLayout::Bitset`] layout
-    /// (default `true`; benchmarks disable it to measure plain layouts).
-    bitset_enabled: bool,
     /// Node-count threshold for the bitset layout; overridable (hidden) so
-    /// small-input tests can force bitsets on.
+    /// tests can force bitsets on small inputs, or off entirely.
     bitset_min_nodes: usize,
 }
 
@@ -649,7 +617,6 @@ impl Default for TrieBuilder {
             diff: Vec::new(),
             summary_scratch: Vec::new(),
             last: None,
-            bitset_enabled: true,
             bitset_min_nodes: BITSET_MIN_NODES,
         }
     }
@@ -683,18 +650,11 @@ impl TrieBuilder {
         self.last.as_ref()
     }
 
-    /// Enables or disables the per-level [`LevelLayout::Bitset`] selection
-    /// (on by default). Probe benchmarks build with it off to measure the
-    /// plain sorted layout under identical data.
-    pub fn with_bitset_levels(mut self, enabled: bool) -> TrieBuilder {
-        self.bitset_enabled = enabled;
-        self
-    }
-
     /// Overrides the node-count threshold above which dense levels get the
     /// bitset layout. Test-only: differential suites use a threshold of 1 to
-    /// force bitsets onto small random inputs. Tries built with a
-    /// non-default threshold compare unequal to reference-built ones.
+    /// force bitsets onto small random inputs, and `usize::MAX` to build the
+    /// plain sorted layout. Tries built with a non-default threshold compare
+    /// unequal to reference-built ones.
     #[doc(hidden)]
     pub fn set_bitset_min_nodes(&mut self, min_nodes: usize) {
         self.bitset_min_nodes = min_nodes.max(1);
@@ -729,9 +689,7 @@ impl TrieBuilder {
         let path = self.sort_permutation(arity, n, max_id);
         let tuples = self.dedup_and_diff(arity, n);
         let mut levels = self.emit_levels(arity, n, tuples);
-        if self.bitset_enabled {
-            attach_bitsets(&mut levels, self.bitset_min_nodes);
-        }
+        attach_bitsets(&mut levels, self.bitset_min_nodes);
         attach_summaries(&mut levels, &mut self.summary_scratch);
         self.trim_scratch(arity, n);
 
@@ -1203,7 +1161,8 @@ mod tests {
         for i in 0..200u32 {
             r.push(&[v(i)]).unwrap();
         }
-        let mut b = TrieBuilder::new().with_bitset_levels(false);
+        let mut b = TrieBuilder::new();
+        b.set_bitset_min_nodes(usize::MAX);
         let t = b.build(&r, r.schema().attrs()).unwrap();
         assert_eq!(t.level_layout(0), LevelLayout::SortedVec);
         assert_eq!(t.estimated_bytes(), 200 * 4);
@@ -1241,7 +1200,8 @@ mod tests {
                 let slice = t.values(level, range.clone());
                 for target in 0..40u32 {
                     let want = range.start + block_seek(slice, 0, v(target)) as u32;
-                    let got = bits.seek(g as u32, range.start, range.start, range.end, v(target));
+                    let (lo, hi) = (range.start, range.end);
+                    let got = bits.seek::<false>(g as u32, lo, lo, hi, v(target), &mut 0);
                     assert_eq!(got, want, "level {level} group {g} target {target}");
                 }
             }

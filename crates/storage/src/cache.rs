@@ -14,8 +14,8 @@
 //! An entry is either a [`CachedTrie::Solid`] trie or a
 //! [`CachedTrie::Layered`] overlay — an immutable base plus small sorted
 //! delta runs ([`DeltaTrie`]). Overlays are how an appended-to relation's
-//! *new* version resolves without a full rebuild: the walk-based engines
-//! union the layers lazily, and once the deltas outgrow the store's
+//! *new* version resolves without a full rebuild: every engine unions the
+//! layers lazily, and once the deltas outgrow the store's
 //! compaction ratio the overlay is merged and swapped for a solid entry via
 //! [`TrieRegistry::replace_with_solid`].
 //!
@@ -60,14 +60,12 @@ pub struct TrieKey {
 }
 
 /// What a registry entry resolves to: a solid trie, or a layered overlay
-/// (base + sorted delta runs) that walk-based engines union lazily.
+/// (base + sorted delta runs) that every engine unions lazily.
 #[derive(Debug, Clone)]
 pub enum CachedTrie {
-    /// A fully merged trie — what every engine can consume.
+    /// A fully merged trie.
     Solid(Arc<Trie>),
-    /// An immutable base overlaid with delta runs. Only the walk-based
-    /// engines (LFTJ, streaming XJoin) consume this directly; level-wise
-    /// engines compact it first.
+    /// An immutable base overlaid with delta runs, planned as base + runs.
     Layered(Arc<DeltaTrie>),
 }
 
@@ -622,10 +620,9 @@ mod tests {
             r.push(&[ValueId(i), ValueId(i)]).unwrap();
         }
         let order = r.schema().attrs().to_vec();
-        let plain = relational::TrieBuilder::new()
-            .with_bitset_levels(false)
-            .build(&r, &order)
-            .unwrap();
+        let mut plain = relational::TrieBuilder::new();
+        plain.set_bitset_min_nodes(usize::MAX);
+        let plain = plain.build(&r, &order).unwrap();
         let indexed = relational::TrieBuilder::new().build(&r, &order).unwrap();
         assert!(indexed.bitset_level_count() > 0, "workload must be dense");
         assert!(indexed.estimated_bytes() > plain.estimated_bytes());

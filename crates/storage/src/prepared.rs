@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
     collect_atoms, compute_order, execute_with_plan, stream_with_plan, validate_output, CoreError,
-    EngineKind, ExecOptions, MultiModelQuery, QueryOutput, ResolvedAtom, Rows, Term,
+    ExecOptions, MultiModelQuery, QueryOutput, ResolvedAtom, Rows, Term,
 };
 use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
 
@@ -260,18 +260,17 @@ impl PreparedQuery {
     /// cached base, a rewrite in between, log truncated) — the caller falls
     /// back to a full rebuild.
     ///
-    /// What comes back depends on `wants_layers` and the store's compaction
-    /// ratio: a fresh overlay within budget is cached layered and returned
-    /// as `(base, runs)`; an overlay past its ratio — or one a level-wise
-    /// engine needs solid — is merged (linear k-way pass over sorted layers,
-    /// cheaper than a full sort-build) and cached solid.
+    /// The store's compaction ratio decides what comes back: a fresh
+    /// overlay within budget is cached layered and returned as
+    /// `(base, runs)`; an overlay past its ratio is merged (linear k-way
+    /// pass over sorted layers, cheaper than a full sort-build) and cached
+    /// solid.
     fn overlay_for(
         &self,
         snapshot: &Snapshot,
         key: &TrieKey,
         spec: &PreparedAtom,
         name: &str,
-        wants_layers: bool,
     ) -> Result<Option<ResolvedOverlay>> {
         let policy = snapshot.delta_policy();
         if !policy.enabled {
@@ -293,7 +292,7 @@ impl PreparedQuery {
             built += 1;
             delta.push_run(run)?;
         }
-        if !wants_layers || delta.needs_compaction(policy.compact_ratio) {
+        if delta.needs_compaction(policy.compact_ratio) {
             let solid = Arc::new(delta.compact()?);
             registry.replace_with_solid(key, Arc::clone(&solid));
             return Ok(Some((solid, Vec::new(), built)));
@@ -312,12 +311,8 @@ impl PreparedQuery {
     /// instead when possible: the cached base is overlaid with small run
     /// tries built from the append log (see [`PreparedQuery::overlay_for`]).
     ///
-    /// `wants_layers` says whether the consumer walks the plan through
-    /// `relational::LftjWalk` (LFTJ, the streaming engine, and every
-    /// [`PreparedQuery::rows`] drain), which unions base + delta layers
-    /// lazily. Level-wise engines (XJoin, generic) read trie levels
-    /// directly, so they pass `false` and layered entries are compacted to
-    /// solid tries before planning.
+    /// Layered entries enter the plan as base + delta runs, which every
+    /// engine unions lazily through the shared leapfrog core.
     ///
     /// The returned [`PlanBuildCost`] covers exactly the misses *this* call
     /// paid for (relation materialisation + trie build, lock waits
@@ -326,7 +321,6 @@ impl PreparedQuery {
     fn plan_for(
         &self,
         snapshot: &Snapshot,
-        wants_layers: bool,
     ) -> Result<(JoinPlan, Vec<(String, usize)>, PlanBuildCost)> {
         let keys = self.trie_keys(snapshot)?;
         let registry = snapshot.registry();
@@ -347,21 +341,8 @@ impl PreparedQuery {
                     continue;
                 }
                 Some(crate::cache::CachedTrie::Layered(delta)) => {
-                    if wants_layers {
-                        tries.push(Arc::clone(delta.base()));
-                        layers.push(delta.runs().to_vec());
-                        continue;
-                    }
-                    // A level-wise engine reached a layered entry first:
-                    // merge it now and upgrade the cache entry so the next
-                    // consumer (of either kind) is warm.
-                    let build_start = Instant::now();
-                    let solid = Arc::new(delta.compact()?);
-                    registry.replace_with_solid(key, Arc::clone(&solid));
-                    cost.elapsed += build_start.elapsed();
-                    cost.tries_built += 1;
-                    tries.push(solid);
-                    layers.push(Vec::new());
+                    tries.push(Arc::clone(delta.base()));
+                    layers.push(delta.runs().to_vec());
                     continue;
                 }
                 None => {}
@@ -372,7 +353,7 @@ impl PreparedQuery {
             match &spec.source {
                 AtomSource::Relation(name) => {
                     if let Some((base, runs, built)) =
-                        self.overlay_for(snapshot, key, spec, name, wants_layers)?
+                        self.overlay_for(snapshot, key, spec, name)?
                     {
                         cost.elapsed += build_start.elapsed();
                         cost.tries_built += built;
@@ -446,13 +427,7 @@ impl PreparedQuery {
     /// latency into build vs probe.
     pub fn execute(&self, snapshot: &Snapshot) -> Result<QueryOutput> {
         let start = Instant::now();
-        // Only the walk-based kinds union delta layers in place; the
-        // level-wise kinds read trie levels directly and need solid plans.
-        let wants_layers = matches!(
-            self.options.engine,
-            EngineKind::Lftj | EngineKind::XJoinStream
-        );
-        let (plan, atom_sizes, cost) = self.plan_for(snapshot, wants_layers)?;
+        let (plan, atom_sizes, cost) = self.plan_for(snapshot)?;
         let ctx = snapshot.ctx();
         let mut out = execute_with_plan(
             &ctx,
@@ -494,8 +469,7 @@ impl PreparedQuery {
         enqueued: Instant,
     ) -> Result<QueryOutput> {
         let start = Instant::now();
-        // The deadline drain is always the streaming walk: layers are fine.
-        let (plan, atom_sizes, cost) = self.plan_for(snapshot, true)?;
+        let (plan, atom_sizes, cost) = self.plan_for(snapshot)?;
         if Instant::now() >= deadline {
             return Err(StoreError::deadline_exceeded(
                 self.label(),
@@ -551,9 +525,7 @@ impl PreparedQuery {
     /// [`PreparedQuery::execute`]; the result *set* is identical either
     /// way.
     pub fn rows<'s>(&'s self, snapshot: &'s Snapshot) -> Result<Rows<'s>> {
-        // The pull-based drain is always the streaming walk, whatever kind
-        // is pinned — delta layers are consumed natively.
-        let (plan, _, _) = self.plan_for(snapshot, true)?;
+        let (plan, _, _) = self.plan_for(snapshot)?;
         stream_with_plan(&snapshot.ctx(), &self.query, plan, &self.options)
             .map_err(StoreError::from)
     }
@@ -917,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn level_wise_engines_get_compacted_solid_plans_after_append() {
+    fn level_wise_engines_read_the_overlay_after_append() {
         use crate::store::DeltaPolicy;
         let store = bookstore_store();
         store.set_delta_policy(DeltaPolicy {
@@ -945,20 +917,17 @@ mod tests {
         // The walk engine installs the overlay...
         let walked = walk.execute(&snap).unwrap();
         assert_eq!(walked.stats.delta_runs, 1);
-        // ...and the level-wise engine finds it, compacts it in place, and
-        // runs on a solid plan with identical results.
+        // ...and the level-wise engine reads the same base + run, merging
+        // nothing, with identical results.
         let stats_before = store.registry().stats();
         let level = levelwise.execute(&snap).unwrap();
-        assert_eq!(level.stats.delta_runs, 0);
+        assert_eq!(level.stats.delta_runs, 1);
+        assert_eq!(level.stats.tries_built, 0);
         assert!(level.results.set_eq(&walked.results));
         assert_eq!(
             store.registry().stats().compactions,
-            stats_before.compactions + 1
+            stats_before.compactions
         );
-        // After the upgrade the walk engine reads the solid entry (no runs).
-        let walked2 = walk.execute(&snap).unwrap();
-        assert_eq!(walked2.stats.delta_runs, 0);
-        assert!(walked2.results.set_eq(&walked.results));
     }
 
     #[test]

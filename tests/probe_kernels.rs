@@ -1,16 +1,16 @@
-//! Differential proptest suite for the vectorized probe path: the block-wise
-//! branch-reduced search must agree with the scalar `gallop` on every
-//! contract corner (empty ranges, `lo >= len`, single-element levels), the
-//! `Bitset` level layout must be transparent — walks over bitset-indexed
-//! tries equal walks over plain `SortedVec` tries — and the batched block
-//! kernel must enumerate exactly the scalar kernel's tuples. Case counts
-//! drop under Miri (`cfg!(miri)`), which interprets every load of the new
+//! Differential proptest suite for the probe path: the block-wise
+//! branch-reduced search must agree with the reference `gallop` on every
+//! contract corner (empty ranges, `lo >= len`, single-element levels), and
+//! joins over plain sorted tries and over bitset-indexed tries must
+//! enumerate exactly what the nested-loop `naive_join` does — in the LFTJ
+//! walk and in the level-wise join, which seek through the same core. Case
+//! counts drop under Miri (`cfg!(miri)`), which interprets every load of the
 //! index arithmetic.
 
 use proptest::prelude::*;
+use relational::generic::{levelwise_join, naive_join};
 use relational::{
-    block_seek, gallop, Attr, JoinPlan, LftjWalk, ProbeKernel, Relation, Schema, Trie, TrieBuilder,
-    ValueId,
+    block_seek, gallop, Attr, JoinPlan, LftjWalk, Relation, Schema, Trie, TrieBuilder, ValueId,
 };
 use std::sync::Arc;
 
@@ -23,26 +23,36 @@ fn rel_from(rows: &[(u32, u32)], a: &str, b: &str) -> Relation {
     r
 }
 
-/// Builds one trie per relation with the given builder and wraps them for
-/// plan sharing.
-fn tries_with(builder: &mut TrieBuilder, rels: &[&Relation], order: &[Attr]) -> Vec<Arc<Trie>> {
-    rels.iter()
+/// The plan over `rels` with every trie built under one bitset threshold:
+/// 1 forces the bitset layout onto every dense level, `usize::MAX` keeps
+/// every level a plain sorted array.
+fn plan_with(bitset_min_nodes: usize, rels: &[&Relation], order: &[Attr]) -> JoinPlan {
+    let mut builder = TrieBuilder::new();
+    builder.set_bitset_min_nodes(bitset_min_nodes);
+    let tries: Vec<Arc<Trie>> = rels
+        .iter()
         .map(|rel| {
             let restricted = rel.schema().restrict_order(order).unwrap();
             Arc::new(builder.build(rel, &restricted).unwrap())
         })
-        .collect()
+        .collect();
+    JoinPlan::from_shared(tries, order).unwrap()
 }
 
-/// Drains a full walk under `kernel`, returning the tuples.
-fn join_rows(tries: Vec<Arc<Trie>>, order: &[Attr], kernel: ProbeKernel) -> Vec<Vec<ValueId>> {
-    let plan = JoinPlan::from_shared(tries, order).unwrap();
-    let mut walk = LftjWalk::with_kernel(plan, kernel);
+/// Drains a full walk, returning the tuples.
+fn walk_rows(plan: JoinPlan) -> Vec<Vec<ValueId>> {
+    let mut walk = LftjWalk::new(plan);
     let mut out = Vec::new();
     while let Some(t) = walk.next_tuple() {
         out.push(t.to_vec());
     }
     out
+}
+
+/// The nested-loop reference, sorted and deduplicated like a walk's output.
+fn naive_rows(rels: &[&Relation], order: &[Attr]) -> Vec<Vec<ValueId>> {
+    let out = naive_join(rels, order).unwrap();
+    out.rows().map(<[ValueId]>::to_vec).collect()
 }
 
 proptest! {
@@ -82,9 +92,9 @@ proptest! {
     }
 
     // Layout transparency: the same triangle join over bitset-indexed tries
-    // (forced onto every eligible level) and over plain SortedVec tries must
-    // produce identical tuple streams under both kernels. The scalar kernel
-    // on plain tries is the pre-existing path, i.e. the ground truth.
+    // (forced onto every eligible level) and over plain sorted tries yields
+    // the nested-loop reference, tuple for tuple in the walk and as a set
+    // in the level-wise join.
     #[test]
     fn bitset_levels_are_transparent_to_walks(
         r_rows in prop::collection::vec((0u32..12, 0u32..12), 0..60),
@@ -94,47 +104,36 @@ proptest! {
         let r = rel_from(&r_rows, "a", "b");
         let s = rel_from(&s_rows, "b", "c");
         let t = rel_from(&t_rows, "a", "c");
+        let rels = [&r, &s, &t];
         let order: Vec<Attr> = vec!["a".into(), "b".into(), "c".into()];
-        let mut plain_b = TrieBuilder::new().with_bitset_levels(false);
-        let mut forced_b = TrieBuilder::new();
-        forced_b.set_bitset_min_nodes(1);
-        let plain = tries_with(&mut plain_b, &[&r, &s, &t], &order);
-        let forced = tries_with(&mut forced_b, &[&r, &s, &t], &order);
+        let reference = naive_rows(&rels, &order);
+        let forced = plan_with(1, &rels, &order);
         if !r.is_empty() || !s.is_empty() || !t.is_empty() {
             prop_assert!(
-                forced.iter().any(|t| t.bitset_level_count() > 0)
-                    || forced.iter().all(|t| t.num_tuples() == 0),
+                forced.tries().iter().any(|t| t.bitset_level_count() > 0)
+                    || forced.tries().iter().all(|t| t.num_tuples() == 0),
                 "min_nodes=1 must index every non-empty level"
             );
         }
-        let reference = join_rows(plain.clone(), &order, ProbeKernel::Scalar);
-        for kernel in [ProbeKernel::Scalar, ProbeKernel::Block] {
-            prop_assert_eq!(
-                &join_rows(plain.clone(), &order, kernel),
-                &reference, "plain/{:?}", kernel
-            );
-            prop_assert_eq!(
-                &join_rows(forced.clone(), &order, kernel),
-                &reference, "bitset/{:?}", kernel
-            );
+        let plain = plan_with(usize::MAX, &rels, &order);
+        prop_assert!(plain.tries().iter().all(|t| t.bitset_level_count() == 0));
+        for (layout, plan) in [("plain", plain), ("bitset", forced)] {
+            let (level_rows, _) = levelwise_join(&plan);
+            prop_assert_eq!(&walk_rows(plan), &reference, "walk/{}", layout);
+            let level_rows: Vec<Vec<ValueId>> = level_rows.rows().map(<[ValueId]>::to_vec).collect();
+            prop_assert_eq!(&level_rows, &reference, "level-wise/{}", layout);
         }
     }
 
-    // Single-atom walks stress the k == 1 bulk-copy refill path across batch
-    // boundaries (PROBE_BATCH = 32, so 0..100 rows spans several refills).
+    // Single-atom walks stress the one-participant rotation across batch
+    // refills (32 matches each, so 0..100 rows spans several).
     #[test]
     fn single_atom_walks_agree_across_batch_boundaries(
         rows in prop::collection::vec((0u32..40, 0u32..40), 0..100),
     ) {
         let r = rel_from(&rows, "a", "b");
         let order: Vec<Attr> = vec!["a".into(), "b".into()];
-        let mut plain_b = TrieBuilder::new().with_bitset_levels(false);
-        let plain = tries_with(&mut plain_b, &[&r], &order);
-        let scalar = join_rows(plain.clone(), &order, ProbeKernel::Scalar);
-        let block = join_rows(plain, &order, ProbeKernel::Block);
-        prop_assert_eq!(&block, &scalar);
-        let mut expect = r.clone();
-        expect.sort_dedup();
-        prop_assert_eq!(block.len(), expect.len());
+        let walked = walk_rows(plan_with(usize::MAX, &[&r], &order));
+        prop_assert_eq!(&walked, &naive_rows(&[&r], &order));
     }
 }
