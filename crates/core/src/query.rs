@@ -146,27 +146,30 @@ impl<'a> DataContext<'a> {
         query
             .relations
             .iter()
-            .map(|atom| {
-                let rel = self
-                    .db
-                    .relation(&atom.name)
-                    .map_err(|_| CoreError::UnknownRelation(atom.name.clone()))?;
-                match &atom.terms {
-                    None => Ok(ResolvedAtom::Plain(rel)),
-                    Some(terms) => {
-                        if terms.len() != rel.arity() {
-                            return Err(CoreError::BadOrder(format!(
-                                "atom `{}` binds {} terms but the relation has arity {}",
-                                atom.name,
-                                terms.len(),
-                                rel.arity()
-                            )));
-                        }
-                        Ok(ResolvedAtom::Renamed(apply_terms(self.db, rel, terms)?))
-                    }
-                }
-            })
+            .map(|a| self.resolve_atom(a))
             .collect()
+    }
+
+    /// Resolves one relational atom (see [`DataContext::resolve_atoms`]).
+    pub fn resolve_atom(&self, atom: &RelAtom) -> Result<ResolvedAtom<'a>> {
+        let rel = self
+            .db
+            .relation(&atom.name)
+            .map_err(|_| CoreError::UnknownRelation(atom.name.clone()))?;
+        match &atom.terms {
+            None => Ok(ResolvedAtom::Plain(rel)),
+            Some(terms) => {
+                if terms.len() != rel.arity() {
+                    return Err(CoreError::BadOrder(format!(
+                        "atom `{}` binds {} terms but the relation has arity {}",
+                        atom.name,
+                        terms.len(),
+                        rel.arity()
+                    )));
+                }
+                Ok(ResolvedAtom::Renamed(apply_terms(self.db, rel, terms)?))
+            }
+        }
     }
 }
 

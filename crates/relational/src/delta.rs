@@ -79,6 +79,16 @@ impl DeltaTrie {
         self.base.attrs()
     }
 
+    /// Every layer under new level names, sharing the level data (see
+    /// [`Trie::renamed`]).
+    pub fn renamed(&self, attrs: &[crate::schema::Attr]) -> DeltaTrie {
+        let rename = |t: &Arc<Trie>| Arc::new(t.renamed(attrs));
+        DeltaTrie {
+            base: rename(&self.base),
+            runs: self.runs.iter().map(rename).collect(),
+        }
+    }
+
     /// Number of levels (the relation's arity).
     pub fn arity(&self) -> usize {
         self.base.arity()

@@ -29,6 +29,7 @@ use crate::value::ValueId;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One level of a [`Trie`]: the values of all nodes at this depth plus the
@@ -283,10 +284,13 @@ fn attach_summaries(levels: &mut [TrieLevel], scratch: &mut Vec<ValueId>) {
 }
 
 /// A flat sorted trie over a relation under a fixed attribute order.
+///
+/// A cheap *named view*: `attrs` names the levels of name-free level data
+/// shared behind an [`Arc`], so [`Trie::renamed`] copies only the names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trie {
     attrs: Vec<Attr>,
-    levels: Vec<TrieLevel>,
+    levels: Arc<[TrieLevel]>,
     tuples: usize,
 }
 
@@ -325,7 +329,7 @@ impl Trie {
         if arity == 0 {
             return Ok(Trie {
                 attrs: Vec::new(),
-                levels: Vec::new(),
+                levels: Arc::new([]),
                 tuples: usize::from(!rel.is_empty()),
             });
         }
@@ -384,7 +388,7 @@ impl Trie {
 
         Ok(Trie {
             attrs: order.to_vec(),
-            levels,
+            levels: levels.into(),
             tuples: rows.len(),
         })
     }
@@ -392,6 +396,24 @@ impl Trie {
     /// The attribute order of the trie's levels (root level first).
     pub fn attrs(&self) -> &[Attr] {
         &self.attrs
+    }
+
+    /// The same level data under new level names, sharing it rather than
+    /// copying it.
+    ///
+    /// # Panics
+    /// Panics if `attrs` does not name exactly one attribute per level.
+    pub fn renamed(&self, attrs: &[Attr]) -> Trie {
+        assert_eq!(
+            attrs.len(),
+            self.arity(),
+            "renamed trie needs one name per level"
+        );
+        Trie {
+            attrs: attrs.to_vec(),
+            levels: Arc::clone(&self.levels),
+            tuples: self.tuples,
+        }
     }
 
     /// Number of levels (the relation's arity).
@@ -679,7 +701,7 @@ impl TrieBuilder {
             });
             return Ok(Trie {
                 attrs: Vec::new(),
-                levels: Vec::new(),
+                levels: Arc::new([]),
                 tuples,
             });
         }
@@ -702,7 +724,7 @@ impl TrieBuilder {
         });
         Ok(Trie {
             attrs: order.to_vec(),
-            levels,
+            levels: levels.into(),
             tuples,
         })
     }
@@ -1059,6 +1081,14 @@ mod tests {
         let mut expect = r;
         expect.sort_dedup();
         assert_eq!(back, expect);
+    }
+
+    #[test]
+    fn renamed_views_share_the_levels() {
+        let t = Trie::from_relation(&sample());
+        let r = t.renamed(&["x".into(), "y".into()]);
+        assert_eq!(r.attrs(), &[Attr::new("x"), Attr::new("y")]);
+        assert!(Arc::ptr_eq(&t.levels, &r.levels));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Building a trie is the dominant per-query cost on repeated workloads —
 //! every engine in the workspace (LFTJ, the level-wise generic join,
 //! streaming XJoin, and the level-wise XJoin engine) consumes the same flat
-//! sorted [`Trie`] representation, so one cache serves them all. Entries are
-//! keyed by [`TrieKey`]: *what* the trie was built from (a relation name or
-//! a derived-atom fingerprint), *which version* of it, and *under which
-//! attribute order* it was leveled. Storage versioning guarantees that a key
+//! sorted [`Trie`] representation, so one cache serves them all.
+//!
+//! Entries are name-free: a [`TrieKey`] identifies one by content, column
+//! permutation, version and store — never by a query's variable names, which
+//! only label the view a lookup hands back. So every α-renaming of an atom
+//! reads one entry, charged once. Storage versioning guarantees that a key
 //! never maps to two different tries; superseded versions are invalidated
 //! eagerly by [`TrieRegistry::purge_stale`] (called from the store's write
 //! path) and anything that escapes the purge ages out of the LRU.
@@ -28,35 +30,79 @@
 use crate::error::StoreError;
 use relational::{Attr, DeltaTrie, Trie};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Identity of a cached trie: owning store, source, version, and level
-/// order.
+/// Identity of a cached trie — owning store, source, version — plus the
+/// level names a lookup wants to see it under.
 ///
-/// * base relations use their catalog name, versioned by
-///   [`relational::Database::relation_version`];
-/// * derived relational atoms (positional renames, constant selections) use
-///   a fingerprint of the atom's terms, versioned by the base relation;
-/// * twig path relations use [`xmldb::path_fingerprint`], versioned by the
-///   document (see [`crate::Snapshot::doc_version`]).
+/// `source` is name-free: `{content}@{columns}`, where `columns` lists per
+/// trie level the content column it holds (`rel:edge@1,0` is `edge` leveled
+/// by its second column first). The content is
+///
+/// * `rel:{name}` for a stored relation read as-is or under a pure renaming
+///   of its columns, versioned by [`relational::Database::relation_version`];
+/// * `atom:{name}(…)` for an atom with a constant or a repeated variable,
+///   its terms with variables numbered by first occurrence
+///   (`atom:edge(?0,?0)`, `atom:edge(Int(5),?0)`), versioned by the base
+///   relation;
+/// * [`xmldb::path_fingerprint`]'s tag chain (`path:/a/b`) for a twig path
+///   relation, versioned by the document (see [`crate::Snapshot::doc_version`]).
+///
+/// `order` holds the requesting atom's variable names in level order: the
+/// *view* names. Equality and hashing ignore them, and every registry read
+/// hands back the shared entry renamed to them.
 ///
 /// Versions are only comparable within one store's history (every fresh
 /// store starts at version 1, and [`relational::ValueId`]s are relative to
 /// its dictionary), so the key also carries the process-unique id of the
 /// owning [`crate::VersionedStore`] — a registry shared between stores can
 /// never serve one store's trie to another.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 pub struct TrieKey {
     /// Process-unique id of the store the trie belongs to.
     pub store: u64,
-    /// Content identity of the relation the trie was built from.
+    /// Name-free identity of the trie's content and column permutation.
     pub source: String,
     /// Version of that content (relation version or document version).
     pub version: u64,
-    /// The trie's level order (the restriction of a global variable order to
-    /// the source's attributes).
+    /// The view's level names: the requesting atom's variables, restricted
+    /// from the global variable order (not part of the identity).
     pub order: Vec<Attr>,
+}
+
+impl TrieKey {
+    /// The `source` of `content` leveled by its columns `columns`.
+    pub(crate) fn source_of(content: &str, columns: &[usize]) -> String {
+        let columns: Vec<String> = columns.iter().map(usize::to_string).collect();
+        format!("{content}@{}", columns.join(","))
+    }
+
+    /// The canonical content part of `source`, without the column suffix.
+    pub fn content(&self) -> &str {
+        self.source
+            .rsplit_once('@')
+            .map_or(self.source.as_str(), |(content, _)| content)
+    }
+
+    fn identity(&self) -> (u64, &str, u64) {
+        (self.store, &self.source, self.version)
+    }
+}
+
+impl PartialEq for TrieKey {
+    fn eq(&self, other: &TrieKey) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for TrieKey {}
+
+impl Hash for TrieKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+    }
 }
 
 /// What a registry entry resolves to: a solid trie, or a layered overlay
@@ -76,6 +122,27 @@ impl CachedTrie {
             CachedTrie::Solid(t) => Some(t),
             CachedTrie::Layered(_) => None,
         }
+    }
+
+    /// This entry under the level names `attrs`, sharing its level data.
+    fn renamed(&self, attrs: &[Attr]) -> CachedTrie {
+        match self {
+            CachedTrie::Solid(t) => CachedTrie::Solid(view(t, attrs)),
+            CachedTrie::Layered(d) if d.attrs() != attrs => {
+                CachedTrie::Layered(Arc::new(d.renamed(attrs)))
+            }
+            CachedTrie::Layered(d) => CachedTrie::Layered(Arc::clone(d)),
+        }
+    }
+}
+
+/// `trie` under the level names `attrs`, sharing its level data (`trie`
+/// itself when the names already match).
+fn view(trie: &Arc<Trie>, attrs: &[Attr]) -> Arc<Trie> {
+    if trie.attrs() == attrs {
+        Arc::clone(trie)
+    } else {
+        Arc::new(trie.renamed(attrs))
     }
 }
 
@@ -117,7 +184,7 @@ struct Entry {
     bytes: usize,
     last_used: u64,
     /// For layered entries: the version of the solid base entry (same
-    /// store/source/order) the overlay's runs sit on. [`Inner::purge`]
+    /// store and source) the overlay's runs sit on. [`Inner::purge`]
     /// keeps that superseded base resident while the overlay lives.
     base_version: Option<u64>,
 }
@@ -145,14 +212,15 @@ struct Inner {
 }
 
 impl Inner {
-    /// Refreshes `key`'s recency and returns a clone of its entry.
+    /// Refreshes `key`'s recency and returns its entry under `key`'s view
+    /// names.
     fn touch(&mut self, key: &TrieKey) -> Option<CachedTrie> {
         self.tick += 1;
         let tick = self.tick;
         let e = self.map.get_mut(key)?;
         let prev = e.last_used;
         e.last_used = tick;
-        let cached = e.cached.clone();
+        let cached = e.cached.renamed(&key.order);
         self.lru.remove(&prev);
         self.lru.insert(tick, key.clone());
         Some(cached)
@@ -217,38 +285,26 @@ impl Inner {
         }
     }
 
-    /// Removes entries of `store` matching `matches(source)` with a version
+    /// Removes entries of `store` matching `matches(key)` with a version
     /// below `keep_from`, except superseded bases still referenced by a live
     /// (version `>= keep_from`) layered overlay. Returns the purge count.
-    fn purge(&mut self, store: u64, keep_from: u64, matches: impl Fn(&str) -> bool) -> usize {
-        let protected: Vec<(String, u64, Vec<Attr>)> = self
+    fn purge(&mut self, store: u64, keep_from: u64, matches: impl Fn(&TrieKey) -> bool) -> usize {
+        let live = |k: &TrieKey| k.store == store && matches(k);
+        let protected: Vec<TrieKey> = self
             .map
             .iter()
-            .filter(|(k, e)| {
-                k.store == store
-                    && k.version >= keep_from
-                    && e.base_version.is_some()
-                    && matches(&k.source)
-            })
-            .map(|(k, e)| {
-                (
-                    k.source.clone(),
-                    e.base_version.expect("filtered on base_version"),
-                    k.order.clone(),
-                )
+            .filter(|(k, _)| k.version >= keep_from && live(k))
+            .filter_map(|(k, e)| {
+                e.base_version.map(|version| TrieKey {
+                    version,
+                    ..k.clone()
+                })
             })
             .collect();
         let victims: Vec<TrieKey> = self
             .map
             .keys()
-            .filter(|k| {
-                k.store == store
-                    && k.version < keep_from
-                    && matches(&k.source)
-                    && !protected
-                        .iter()
-                        .any(|(s, v, o)| *s == k.source && *v == k.version && *o == k.order)
-            })
+            .filter(|k| k.version < keep_from && live(k) && !protected.contains(k))
             .cloned()
             .collect();
         let n = victims.len();
@@ -302,12 +358,12 @@ impl TrieRegistry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Peeks for a cached **solid** trie, counting a hit (and refreshing
-    /// recency) when found. A resident layered overlay refreshes recency but
-    /// reports `None` — callers that can consume overlays use
-    /// [`TrieRegistry::lookup_cached`]. A miss is *not* counted — only
-    /// [`TrieRegistry::get_or_build`] records misses, so peek-then-build
-    /// call sites count each request once.
+    /// Peeks for a cached **solid** trie under `key`'s view names, counting
+    /// a hit (and refreshing recency) when found. A resident layered overlay
+    /// refreshes recency but reports `None` — callers that can consume
+    /// overlays use [`TrieRegistry::lookup_cached`]. A miss is *not* counted
+    /// — only [`TrieRegistry::get_or_build`] records misses, so
+    /// peek-then-build call sites count each request once.
     pub fn lookup(&self, key: &TrieKey) -> Option<Arc<Trie>> {
         let mut g = self.lock();
         match g.touch(key) {
@@ -320,9 +376,9 @@ impl TrieRegistry {
         }
     }
 
-    /// Peeks for a cached entry of either kind, counting a hit (and
-    /// refreshing recency) when found. Misses are not counted, exactly as
-    /// for [`TrieRegistry::lookup`].
+    /// Peeks for a cached entry of either kind under `key`'s view names,
+    /// counting a hit (and refreshing recency) when found. Misses are not
+    /// counted, exactly as for [`TrieRegistry::lookup`].
     pub fn lookup_cached(&self, key: &TrieKey) -> Option<CachedTrie> {
         let mut g = self.lock();
         let hit = g.touch(key)?;
@@ -331,8 +387,9 @@ impl TrieRegistry {
         Some(hit)
     }
 
-    /// Returns the cached solid trie for `key`, building (and caching) it
-    /// with `build` on a miss. The lock is released while building, so
+    /// Returns the cached solid trie for `key` under its view names,
+    /// building (and caching) it with `build` on a miss; the built trie may
+    /// carry any level names. The lock is released while building, so
     /// concurrent misses on the same key may build twice; the first insert
     /// wins and the duplicate is dropped. A resident layered overlay counts
     /// as a miss here (the caller needs a solid trie) and is replaced by the
@@ -372,7 +429,7 @@ impl TrieRegistry {
         if !g.admissible(bytes) {
             g.oversized += 1;
             xjoin_obs::instant("trie-cache-oversized");
-            return Ok(trie);
+            return Ok(view(&trie, &key.order));
         }
         g.insert_entry(
             key.clone(),
@@ -381,7 +438,7 @@ impl TrieRegistry {
             None,
         );
         g.evict_to_budget(key);
-        Ok(trie)
+        Ok(view(&trie, &key.order))
     }
 
     /// Installs a layered overlay at `key`, replacing any resident entry.
@@ -426,46 +483,48 @@ impl TrieRegistry {
         g.evict_to_budget(key);
     }
 
-    /// Finds the newest resident **solid** trie for `(store, source, order)`
-    /// with a version strictly below `below` — the base candidate for a
-    /// delta overlay after a write. Refreshes the base's recency (it is
-    /// about to be referenced) without touching the hit counters; the
-    /// request being resolved was already counted at its own key. O(n) in
-    /// resident entries, paid once per first-query-after-write.
-    pub fn find_base(
-        &self,
-        store: u64,
-        source: &str,
-        order: &[Attr],
-        below: u64,
-    ) -> Option<(u64, Arc<Trie>)> {
+    /// Finds the newest resident **solid** trie for `key`'s store and source
+    /// with a version strictly below `key.version` — the base candidate for
+    /// a delta overlay after a write — under `key`'s view names. Refreshes
+    /// the base's recency (it is about to be referenced) without touching
+    /// the hit counters; the request being resolved was already counted at
+    /// its own key. O(n) in resident entries, paid once per
+    /// first-query-after-write.
+    pub fn find_base(&self, key: &TrieKey) -> Option<(u64, Arc<Trie>)> {
         let mut g = self.lock();
-        let (key, trie) = g
+        let version = g
             .map
             .iter()
-            .filter(|(k, _)| {
-                k.store == store && k.version < below && k.source == source && k.order == order
+            .filter(|(k, e)| {
+                k.store == key.store
+                    && k.source == key.source
+                    && k.version < key.version
+                    && e.cached.as_solid().is_some()
             })
-            .filter_map(|(k, e)| e.cached.as_solid().map(|t| (k, t)))
-            .max_by_key(|(k, _)| k.version)
-            .map(|(k, t)| (k.clone(), Arc::clone(t)))?;
-        let version = key.version;
-        g.touch(&key);
+            .map(|(k, _)| k.version)
+            .max()?;
+        let base = TrieKey {
+            version,
+            ..key.clone()
+        };
+        let trie = g.touch(&base)?.as_solid().cloned()?;
         Some((version, trie))
     }
 
     /// Invalidates stale versions of relation `name` in `store`: every
-    /// `rel:{name}` / `atom:{name}(…)` entry with a version below
-    /// `keep_from` is removed, **except** superseded bases still referenced
-    /// by a live layered overlay (same source/order, overlay version `>=
-    /// keep_from`). The store's write path calls this; `keep_from` is the
-    /// oldest version its delta log can still overlay (or the current
+    /// entry whose content is `rel:{name}` or `atom:{name}(…)` — the name
+    /// matched exactly, so purging `R` leaves `R1` alone — with a version
+    /// below `keep_from` is removed, **except** superseded bases still
+    /// referenced by a live layered overlay (same source, overlay version
+    /// `>= keep_from`). The store's write path calls this; `keep_from` is
+    /// the oldest version its delta log can still overlay (or the current
     /// version for rewrites, which keep no log). Returns the purge count.
     pub fn purge_stale(&self, store: u64, name: &str, keep_from: u64) -> usize {
-        let rel_source = format!("rel:{name}");
+        let rel_content = format!("rel:{name}");
         let atom_prefix = format!("atom:{name}(");
-        self.lock().purge(store, keep_from, |source| {
-            source == rel_source || source.starts_with(&atom_prefix)
+        self.lock().purge(store, keep_from, |key| {
+            let content = key.content();
+            content == rel_content || content.starts_with(&atom_prefix)
         })
     }
 
@@ -474,8 +533,9 @@ impl TrieRegistry {
     /// replacement keeps no delta log, so nothing is base-protected in
     /// practice). Returns the purge count.
     pub fn purge_stale_paths(&self, store: u64, current_version: u64) -> usize {
-        self.lock()
-            .purge(store, current_version, |source| source.starts_with("path:"))
+        self.lock().purge(store, current_version, |key| {
+            key.source.starts_with("path:")
+        })
     }
 
     /// Whether `key` is currently resident (does not touch recency or
@@ -566,19 +626,33 @@ mod tests {
     }
 
     #[test]
-    fn versions_orders_and_stores_key_separately() {
+    fn versions_permutations_and_stores_key_separately_names_do_not() {
         let reg = TrieRegistry::new();
-        reg.get_or_build(&key("R", 1), || build(4)).unwrap();
-        reg.get_or_build(&key("R", 2), || build(5)).unwrap();
-        let mut flipped = key("R", 1);
-        flipped.order.reverse();
-        reg.get_or_build(&flipped, || build(4)).unwrap();
-        // Same name/version/order from a different store must not collide.
-        let mut other_store = key("R", 1);
+        reg.get_or_build(&key("rel:R@0,1", 1), || build(4)).unwrap();
+        reg.get_or_build(&key("rel:R@0,1", 2), || build(5)).unwrap();
+        // The other column permutation is another index.
+        reg.get_or_build(&key("rel:R@1,0", 1), || build(4)).unwrap();
+        // Same source/version/permutation from a different store must not
+        // collide.
+        let mut other_store = key("rel:R@0,1", 1);
         other_store.store = 7;
         reg.get_or_build(&other_store, || build(6)).unwrap();
         let s = reg.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 4, 4));
+
+        // A key differing only in its view names is the same entry: it hits,
+        // charges nothing more, and sees the entry under its own names.
+        let mut renamed = key("rel:R@0,1", 1);
+        renamed.order = vec!["x".into(), "y".into()];
+        assert_eq!(renamed, key("rel:R@0,1", 1));
+        let t = reg.get_or_build(&renamed, || panic!("rebuilt")).unwrap();
+        assert_eq!(t.attrs(), &renamed.order[..]);
+        let first = reg.lookup(&key("rel:R@0,1", 1)).unwrap();
+        assert_eq!(first.attrs(), &key("rel:R@0,1", 1).order[..]);
+        assert_eq!(first.values(0, 0..4), t.values(0, 0..4));
+        let after = reg.stats();
+        assert_eq!((after.hits, after.misses, after.entries), (2, 4, 4));
+        assert_eq!(after.bytes_in_use, s.bytes_in_use);
     }
 
     #[test]
@@ -728,9 +802,16 @@ mod tests {
         assert!(reg.insert_layered(&k, layered(8, 2), 1));
         // Solid-only callers see nothing...
         assert!(reg.lookup(&k).is_none());
-        // ...overlay-aware callers get the layered entry.
-        match reg.lookup_cached(&k) {
-            Some(CachedTrie::Layered(d)) => assert_eq!(d.delta_tuples(), 2),
+        // ...overlay-aware callers get the layered entry, every layer under
+        // their own view names.
+        let mut renamed = k.clone();
+        renamed.order = vec!["x".into(), "y".into()];
+        match reg.lookup_cached(&renamed) {
+            Some(CachedTrie::Layered(d)) => {
+                assert_eq!(d.delta_tuples(), 2);
+                assert_eq!(d.runs()[0].attrs(), &renamed.order[..]);
+                assert_eq!(d.base().attrs(), &renamed.order[..]);
+            }
             other => panic!("expected layered entry, got {other:?}"),
         }
         let s = reg.stats();
@@ -767,21 +848,25 @@ mod tests {
     #[test]
     fn find_base_returns_newest_older_solid() {
         let reg = TrieRegistry::new();
-        let order: Vec<Attr> = vec!["a".into(), "b".into()];
         reg.get_or_build(&key("rel:R", 1), || build(4)).unwrap();
         reg.get_or_build(&key("rel:R", 3), || build(6)).unwrap();
         // A layered entry is never a base candidate.
         reg.insert_layered(&key("rel:R", 4), layered(6, 1), 3);
-        let (v, t) = reg.find_base(0, "rel:R", &order, 5).unwrap();
+        let (v, t) = reg.find_base(&key("rel:R", 5)).unwrap();
         assert_eq!((v, t.num_tuples()), (3, 6));
-        let (v, _) = reg.find_base(0, "rel:R", &order, 3).unwrap();
+        let (v, _) = reg.find_base(&key("rel:R", 3)).unwrap();
         assert_eq!(v, 1);
-        assert!(reg.find_base(0, "rel:R", &order, 1).is_none());
-        assert!(reg.find_base(0, "rel:S", &order, 5).is_none());
-        let flipped: Vec<Attr> = vec!["b".into(), "a".into()];
-        assert!(reg.find_base(0, "rel:R", &flipped, 5).is_none());
+        assert!(reg.find_base(&key("rel:R", 1)).is_none());
+        assert!(reg.find_base(&key("rel:S", 5)).is_none());
+        // The base comes back under the asking key's view names.
+        let mut renamed = key("rel:R", 5);
+        renamed.order = vec!["x".into(), "y".into()];
+        let (_, t) = reg.find_base(&renamed).unwrap();
+        assert_eq!(t.attrs(), &renamed.order[..]);
         // Wrong store never matches.
-        assert!(reg.find_base(9, "rel:R", &order, 5).is_none());
+        let mut other = key("rel:R", 5);
+        other.store = 9;
+        assert!(reg.find_base(&other).is_none());
     }
 
     #[test]
@@ -811,6 +896,19 @@ mod tests {
         reg.get_or_build(&other, || build(4)).unwrap();
         reg.purge_stale(0, "R", 2);
         assert!(reg.contains(&other));
+    }
+
+    #[test]
+    fn purge_stale_matches_the_relation_name_exactly() {
+        let reg = TrieRegistry::new();
+        let sources = ["rel:R@1,0", "atom:R(?0,?0)@0", "rel:R1@0,1", "rel:RR@0,1"];
+        for source in sources {
+            reg.get_or_build(&key(source, 1), || build(4)).unwrap();
+        }
+        assert_eq!(reg.purge_stale(0, "R", 2), 2);
+        for (i, source) in sources.iter().enumerate() {
+            assert_eq!(reg.contains(&key(source, 1)), i >= 2, "{source}");
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`store`] — a [`VersionedStore`] wrapping the multi-model database
 //!   with epoch-based copy-on-write snapshots: writers swap in new state,
 //!   readers hold immutable [`Snapshot`]s that are never invalidated;
-//! * [`cache`] — a [`TrieRegistry`]: built tries behind `Arc`, keyed by
-//!   `(source, version, attribute order)`, with an LRU byte budget and
+//! * [`cache`] — a [`TrieRegistry`]: built tries behind `Arc`, keyed
+//!   name-free by `(store, content, version, column permutation)` so every
+//!   α-renaming of an atom shares one entry, with an LRU byte budget and
 //!   hit/miss/eviction counters. One cache serves LFTJ, the generic join,
 //!   streaming XJoin, and the level-wise XJoin engine — XML path relations
 //!   (lowered via `xmldb::transform`) included;

@@ -2,15 +2,23 @@
 //!
 //! Preparation lowers a [`MultiModelQuery`] against a reference snapshot,
 //! fixes the global variable order (the paper's `PA`), and pins for every
-//! atom a *trie key template*: the atom's content identity plus the
-//! restriction of the global order to its attributes. Execution against any
-//! later snapshot then resolves each template to a concrete
-//! [`TrieKey`] (filling in that snapshot's relation / document versions),
-//! fetches the tries from the shared registry — building only on cache
-//! misses — and runs the engine selected by the pinned
-//! [`xjoin_core::ExecOptions`] over the assembled plan (any
+//! atom a *trie key template*: the atom's name-free content identity, the
+//! column permutation its trie levels follow, and the restriction of the
+//! global order to its attributes (the names the plan sees the trie
+//! under). Execution against any later snapshot then resolves each
+//! template to a concrete [`TrieKey`] (filling in that snapshot's relation /
+//! document versions), fetches the tries from the shared registry —
+//! building only on cache misses — and runs the engine selected by the
+//! pinned [`xjoin_core::ExecOptions`] over the assembled plan (any
 //! [`xjoin_core::EngineKind`]: level-wise XJoin, streaming XJoin, LFTJ, or
 //! the generic join).
+//!
+//! Because the identity is name-free, every α-renaming of an atom — the
+//! three `edge` atoms of a triangle, or `edge(a,b)` in one statement and
+//! `edge(x,y)` in the next — reads one cached trie. A plain or purely
+//! renamed atom is built straight from the stored relation in its column
+//! permutation and resolves appends through a delta overlay; only an atom
+//! with a constant or a repeated variable materialises a filtered copy.
 //!
 //! A fully warm execution performs **zero** [`relational::Trie::build`]
 //! calls and never re-materialises path relations: the plan is assembled
@@ -19,13 +27,12 @@
 use crate::cache::TrieKey;
 use crate::error::{Result, StoreError};
 use crate::store::Snapshot;
-use relational::{Attr, JoinPlan, Relation, Trie};
-use std::fmt::Write as _;
+use relational::{Attr, JoinPlan, RelError, Relation, Trie};
 use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
     collect_atoms, compute_order, execute_with_plan, stream_with_plan, validate_output, CoreError,
-    ExecOptions, MultiModelQuery, QueryOutput, ResolvedAtom, Rows, Term,
+    ExecOptions, MultiModelQuery, QueryOutput, RelAtom, Rows, Term,
 };
 use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
 
@@ -36,23 +43,19 @@ use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
 const DEADLINE_CHECK_EVERY: usize = 256;
 
 /// Where an atom's trie content comes from — which version counter
-/// invalidates it, and how to rebuild just this atom's relation on a cache
-/// miss.
+/// invalidates it, and how to rebuild just this atom's trie on a cache miss.
 #[derive(Debug, Clone)]
 enum AtomSource {
-    /// A base relation served as stored; versioned by the relation.
+    /// A stored relation read as-is or under a pure renaming of its
+    /// columns, built straight from the stored relation; versioned by the
+    /// relation.
     Relation(String),
-    /// A relational atom derived from `base` by positional terms (renames,
-    /// constant selections, repeated-variable equalities); versioned by the
-    /// base relation.
-    Derived { base: String, fingerprint: String },
+    /// A filtered copy of a stored relation (a constant or a repeated
+    /// variable among the atom's terms); versioned by the base relation.
+    Selection(String),
     /// A twig path relation (`query.twigs[twig]` restricted to `path`);
     /// versioned by the document.
-    TwigPath {
-        twig: usize,
-        path: PathSpec,
-        fingerprint: String,
-    },
+    TwigPath { twig: usize, path: PathSpec },
 }
 
 /// One atom's pinned cache identity and trie level order.
@@ -61,8 +64,12 @@ struct PreparedAtom {
     /// Display name (as reported in stats), from [`xjoin_core::Atoms::names`].
     display: String,
     source: AtomSource,
+    /// The name-free [`TrieKey::source`]: content and column permutation.
+    identity: String,
+    /// Per trie level, the content column it holds.
+    columns: Vec<usize>,
     /// The restriction of the global order to this atom's attributes — the
-    /// trie's level order.
+    /// trie's level names.
     order: Vec<Attr>,
 }
 
@@ -84,24 +91,42 @@ pub struct PreparedQuery {
     first_path_atom: usize,
 }
 
-/// Renders a derived atom's positional terms into a stable fingerprint.
-fn terms_fingerprint(name: &str, terms: &[Term]) -> String {
-    let mut fp = format!("atom:{name}(");
-    for (i, t) in terms.iter().enumerate() {
-        if i > 0 {
-            fp.push(',');
-        }
-        match t {
+/// A relational atom's source and name-free content: `rel:{name}` when its
+/// terms are absent or distinct variables, else its terms with variables
+/// numbered by first occurrence (`atom:edge(?0,?0)`, `atom:edge(Int(5),?0)`).
+fn relation_content(atom: &RelAtom) -> (AtomSource, String) {
+    let mut vars: Vec<&Attr> = Vec::new();
+    let terms: Vec<String> = atom
+        .terms
+        .iter()
+        .flatten()
+        .map(|term| match term {
             Term::Var(v) => {
-                let _ = write!(fp, "?{v}");
+                let k = vars.iter().position(|w| *w == v).unwrap_or(vars.len());
+                vars.extend((k == vars.len()).then_some(v));
+                format!("?{k}")
             }
-            Term::Const(c) => {
-                let _ = write!(fp, "{c:?}");
-            }
-        }
+            Term::Const(c) => format!("{c:?}"),
+        })
+        .collect();
+    let name = atom.name.clone();
+    if vars.len() == terms.len() {
+        (AtomSource::Relation(name.clone()), format!("rel:{name}"))
+    } else {
+        let content = format!("atom:{name}({})", terms.join(","));
+        (AtomSource::Selection(name), content)
     }
-    fp.push(')');
-    fp
+}
+
+/// Builds `rel`'s trie with level `d` on column `columns[d]`, under `rel`'s
+/// own column names.
+fn build_columns(rel: &Relation, columns: &[usize]) -> relational::Result<Trie> {
+    let attrs = rel.schema().attrs();
+    let order: Option<Vec<Attr>> = columns.iter().map(|&c| attrs.get(c).cloned()).collect();
+    let order = order.ok_or_else(|| {
+        RelError::InvalidOrder(format!("{} lacks a column of the atom", rel.schema()))
+    })?;
+    Trie::build(rel, &order)
 }
 
 impl PreparedQuery {
@@ -122,26 +147,13 @@ impl PreparedQuery {
 
         // Reconstruct each atom's content source, mirroring the ordering of
         // `collect_atoms`: relational atoms first, then every twig's paths.
-        let mut sources: Vec<AtomSource> = Vec::with_capacity(atoms.rels.len());
-        for atom in &query.relations {
-            sources.push(match &atom.terms {
-                None => AtomSource::Relation(atom.name.clone()),
-                Some(terms) => AtomSource::Derived {
-                    base: atom.name.clone(),
-                    fingerprint: terms_fingerprint(&atom.name, terms),
-                },
-            });
-        }
+        let mut sources: Vec<(AtomSource, String)> = Vec::with_capacity(atoms.rels.len());
+        sources.extend(query.relations.iter().map(relation_content));
         debug_assert_eq!(sources.len(), atoms.first_path_atom);
         for (t, twig) in query.twigs.iter().enumerate() {
-            let dec = decompose(twig);
-            for path in dec.paths {
-                let fingerprint = path_fingerprint(twig, &path);
-                sources.push(AtomSource::TwigPath {
-                    twig: t,
-                    path,
-                    fingerprint,
-                });
+            for path in decompose(twig).paths {
+                let content = path_fingerprint(twig, &path);
+                sources.push((AtomSource::TwigPath { twig: t, path }, content));
             }
         }
         assert_eq!(
@@ -151,13 +163,16 @@ impl PreparedQuery {
         );
 
         let mut prepared = Vec::with_capacity(atoms.rels.len());
-        for ((rel, name), source) in atoms.rels.iter().zip(&atoms.names).zip(sources) {
+        for ((rel, name), (source, content)) in atoms.rels.iter().zip(&atoms.names).zip(sources) {
+            // The lowered relation's columns are the content's columns: the
+            // stored schema for a plain or renamed atom, the distinct
+            // variables for a selection, the path's nodes for a path.
             let schema = rel.rel().schema();
             // Integrity of the source/atom pairing: a path source must carry
             // exactly the schema of the relation it is paired with. Catches
             // any future drift between `collect_atoms`' atom ordering and
             // the reconstruction above before it can poison cache keys.
-            if let AtomSource::TwigPath { twig, path, .. } = &source {
+            if let AtomSource::TwigPath { twig, path } = &source {
                 let vars: Vec<Attr> = path
                     .nodes
                     .iter()
@@ -170,9 +185,16 @@ impl PreparedQuery {
                 );
             }
             let restricted = schema.restrict_order(&order).map_err(CoreError::from)?;
+            let columns = restricted
+                .iter()
+                .map(|a| schema.require(a))
+                .collect::<relational::Result<Vec<usize>>>()
+                .map_err(CoreError::from)?;
             prepared.push(PreparedAtom {
                 display: name.clone(),
                 source,
+                identity: TrieKey::source_of(&content, &columns),
+                columns,
                 order: restricted,
             });
         }
@@ -218,28 +240,22 @@ impl PreparedQuery {
     }
 
     /// The concrete trie keys this query resolves to on `snapshot` (exposed
-    /// for cache introspection, pre-warming, and tests).
+    /// for cache introspection, pre-warming, and tests). Atoms that are
+    /// α-renamings of one another resolve to equal keys, differing only in
+    /// their `order` view names.
     pub fn trie_keys(&self, snapshot: &Snapshot) -> Result<Vec<TrieKey>> {
         self.atoms
             .iter()
             .map(|a| {
-                // The `rel:` / `atom:` / `path:` prefixes keep the three
-                // source namespaces disjoint — a relation whose *name*
-                // happens to look like a fingerprint cannot collide.
-                let (source, version) = match &a.source {
-                    AtomSource::Relation(name) => {
-                        (format!("rel:{name}"), self.rel_version(snapshot, name)?)
+                let version = match &a.source {
+                    AtomSource::Relation(name) | AtomSource::Selection(name) => {
+                        self.rel_version(snapshot, name)?
                     }
-                    AtomSource::Derived { base, fingerprint } => {
-                        (fingerprint.clone(), self.rel_version(snapshot, base)?)
-                    }
-                    AtomSource::TwigPath { fingerprint, .. } => {
-                        (fingerprint.clone(), snapshot.doc_version())
-                    }
+                    AtomSource::TwigPath { .. } => snapshot.doc_version(),
                 };
                 Ok(TrieKey {
                     store: snapshot.store_id(),
-                    source,
+                    source: a.identity.clone(),
                     version,
                     order: a.order.clone(),
                 })
@@ -253,10 +269,11 @@ impl PreparedQuery {
             .ok_or_else(|| StoreError::Core(CoreError::UnknownRelation(name.to_owned())))
     }
 
-    /// Resolves a post-write miss on a base-relation atom through the delta
-    /// path: finds the newest cached base below `key.version`, checks the
-    /// snapshot's append log covers the gap, and builds one small run trie
-    /// per append batch. Returns `None` when no overlay is possible (no
+    /// Resolves a post-write miss on a plain or renamed relation atom
+    /// through the delta path: finds the newest cached base below
+    /// `key.version`, checks the snapshot's append log covers the gap, and
+    /// builds one small run trie per append batch, in the atom's column
+    /// permutation. Returns `None` when no overlay is possible (no
     /// cached base, a rewrite in between, log truncated) — the caller falls
     /// back to a full rebuild.
     ///
@@ -277,9 +294,7 @@ impl PreparedQuery {
             return Ok(None);
         }
         let registry = snapshot.registry();
-        let Some((base_version, base)) =
-            registry.find_base(key.store, &key.source, &key.order, key.version)
-        else {
+        let Some((base_version, base)) = registry.find_base(key) else {
             return Ok(None);
         };
         let Some(batches) = snapshot.delta_rows(name, base_version, key.version) else {
@@ -288,7 +303,7 @@ impl PreparedQuery {
         let mut delta = relational::DeltaTrie::new(Arc::clone(&base));
         let mut built = 0usize;
         for batch in &batches {
-            let run = Arc::new(Trie::build(batch, &spec.order)?);
+            let run = Arc::new(build_columns(batch, &spec.columns)?.renamed(&spec.order));
             built += 1;
             delta.push_run(run)?;
         }
@@ -326,10 +341,6 @@ impl PreparedQuery {
         let registry = snapshot.registry();
         let ctx = snapshot.ctx();
 
-        // Resolved relational atoms, computed at most once per execution
-        // (only when some derived atom misses); aligned with
-        // `self.query.relations`.
-        let mut resolved: Option<Vec<ResolvedAtom<'_>>> = None;
         let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(keys.len());
         let mut layers: Vec<Vec<Arc<Trie>>> = Vec::with_capacity(keys.len());
         let mut cost = PlanBuildCost::default();
@@ -362,21 +373,17 @@ impl PreparedQuery {
                         continue;
                     }
                     let rel = ctx.db.relation(name).map_err(CoreError::from)?;
-                    tries.push(registry.get_or_build(key, || Trie::build(rel, &spec.order))?);
+                    tries.push(registry.get_or_build(key, || build_columns(rel, &spec.columns))?);
                 }
-                AtomSource::Derived { .. } => {
+                AtomSource::Selection(_) => {
                     // Resolution happens outside the build closure because it
                     // can fail with a CoreError the closure's RelError result
                     // cannot carry; a lost build race wastes one resolve.
-                    if resolved.is_none() {
-                        resolved = Some(ctx.resolve_atoms(&self.query)?);
-                    }
-                    let atoms = resolved.as_ref().expect("just resolved");
-                    tries.push(
-                        registry.get_or_build(key, || Trie::build(atoms[i].rel(), &spec.order))?,
-                    );
+                    let atom = ctx.resolve_atom(&self.query.relations[i])?;
+                    tries
+                        .push(registry.get_or_build(key, || Trie::build(atom.rel(), &spec.order))?);
                 }
-                AtomSource::TwigPath { twig, path, .. } => {
+                AtomSource::TwigPath { twig, path } => {
                     // Materialised lazily inside the closure: if a concurrent
                     // worker wins the build race, the document is not walked.
                     tries.push(registry.get_or_build(key, || {

@@ -153,20 +153,20 @@ pub fn path_relation(
     rel
 }
 
-/// A stable content-based identity for one path relation, usable as a cache
-/// key: two paths with the same fingerprint produce identical
-/// [`path_relation`] output on the same document.
+/// A stable, name-free content identity for one path relation, usable as a
+/// cache key: two paths with the same fingerprint produce the same
+/// [`path_relation`] tuples on the same document, column by column.
 ///
-/// The fingerprint covers exactly what [`path_relation`] reads from the twig
-/// — the tag and variable of every node along the path — so it is shared
-/// across queries whose twigs contain the same P-C chain, regardless of the
-/// surrounding twig shape or the path's index within it.
+/// The fingerprint is the path's tag chain — the only thing
+/// [`path_relation`] reads from the twig besides the variable names, which
+/// merely label the columns. It is therefore shared across queries whose
+/// twigs contain the same P-C chain, regardless of the surrounding twig
+/// shape, the path's index within it, or what its variables are called.
 pub fn path_fingerprint(twig: &TwigPattern, path: &PathSpec) -> String {
-    use std::fmt::Write as _;
     let mut fp = String::from("path:");
     for &q in &path.nodes {
-        let node = twig.node(q);
-        let _ = write!(fp, "/{}${}", node.tag, node.var);
+        fp.push('/');
+        fp.push_str(&twig.node(q).tag);
     }
     fp
 }
@@ -364,17 +364,21 @@ mod tests {
     #[test]
     fn path_fingerprints_are_stable_and_shape_independent() {
         // The same P-C chain inside two differently-shaped twigs fingerprints
-        // identically; distinct chains (or renamed variables) do not.
+        // identically, and so does the chain under other variable names;
+        // a different tag chain does not.
         let t1 = TwigPattern::parse("//a/b").unwrap();
         let d1 = decompose(&t1);
         let t2 = TwigPattern::parse("//a[/b][//c]").unwrap();
         let d2 = decompose(&t2);
         let fp1 = path_fingerprint(&t1, &d1.paths[0]);
         assert_eq!(fp1, path_fingerprint(&t2, &d2.paths[0]));
-        assert_eq!(fp1, "path:/a$a/b$b");
-        let t3 = TwigPattern::parse("//a/b$b2").unwrap();
+        assert_eq!(fp1, "path:/a/b");
+        let t3 = TwigPattern::parse("//a$x/b$b2").unwrap();
         let d3 = decompose(&t3);
-        assert_ne!(fp1, path_fingerprint(&t3, &d3.paths[0]));
+        assert_eq!(fp1, path_fingerprint(&t3, &d3.paths[0]));
+        let t4 = TwigPattern::parse("//a/c").unwrap();
+        let d4 = decompose(&t4);
+        assert_ne!(fp1, path_fingerprint(&t4, &d4.paths[0]));
     }
 
     #[test]

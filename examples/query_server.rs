@@ -7,9 +7,10 @@
 //! Spawns the `xjoin-serve` front end on a loopback port over the Figure 1
 //! bookstore dataset, then acts as a client: one-shot queries, a
 //! prepare→execute round trip (with the statement's AGM bound reported at
-//! prepare time), a row-budgeted execution, a metrics scrape through the
-//! `STATS` frame, and a graceful shutdown — everything crossing a real TCP
-//! socket as length-prefixed binary frames.
+//! prepare time), the same statement under other variable names reading
+//! the same cached tries, a row-budgeted execution, a metrics scrape
+//! through the `STATS` frame, and a graceful shutdown — everything crossing
+//! a real TCP socket as length-prefixed binary frames.
 
 use fixtures::bookstore;
 use std::sync::Arc;
@@ -21,6 +22,10 @@ use xjoin_store::VersionedStore;
 
 const BOOKSTORE_QUERY: &str =
     "Q(userID, ISBN, price) :- R(orderID, userID), //invoices/orderLine[/orderID][/ISBN][/price]";
+
+/// The bookstore statement with every variable renamed.
+const RENAMED_QUERY: &str = "Q(user, isbn, cost) :- R(order, user), \
+     //invoices$inv/orderLine$line[/orderID$order][/ISBN$isbn][/price$cost]";
 
 fn main() {
     // 1. Server side: a versioned store over the bookstore instance served
@@ -82,6 +87,29 @@ fn main() {
     );
     let rows = expect_rows(client.exec(stmt_id, RequestOpts::default()).expect("exec"));
     println!("exec #{stmt_id}: {} rows", rows.rows.len());
+
+    // 4b. The trie cache is keyed by content, not by variable names: the
+    //     same statement under other names reads the tries #1 built.
+    let entries_before = store.registry().stats().entries;
+    let renamed_id = match client
+        .prepare(RENAMED_QUERY, &ExecOptions::default())
+        .expect("prepare round trip")
+    {
+        Response::Prepared { stmt_id, .. } => stmt_id,
+        other => panic!("prepare failed: {other:?}"),
+    };
+    let renamed = expect_rows(
+        client
+            .exec(renamed_id, RequestOpts::default())
+            .expect("exec"),
+    );
+    let entries_after = store.registry().stats().entries;
+    println!(
+        "renamed statement #{renamed_id}: {} rows; trie cache entries {entries_before} -> {entries_after}",
+        renamed.rows.len()
+    );
+    assert_eq!(renamed.rows, rows.rows, "renaming changed the answer");
+    assert_eq!(entries_after, entries_before, "renaming built new tries");
 
     // 5. Per-request row budget: the same statement, capped to 1 row. The
     //    budget pushes into the streaming walk as a limit; the reply's

@@ -4,13 +4,14 @@
 //! sustained append churn resolves through delta overlays that stay
 //! result-identical to full rebuilds while the registry honours its byte
 //! budget and sheds superseded trie versions, and the per-level summaries
-//! the adaptive walk reads stay exact under append churn.
+//! the adaptive walk reads stay exact under append churn, and α-renamed
+//! statements share one cached trie so the cache stays bounded.
 
 use fixtures::{bookstore, bookstore_query, fig3_query, fig3_tight};
 use proptest::prelude::*;
 use relational::{Attr, Database, DeltaTrie, LevelSummary, Relation, Schema, Trie, Value};
 use std::sync::Arc;
-use xjoin_core::{execute, EngineKind, ExecOptions, MultiModelQuery};
+use xjoin_core::{execute, parse_query, EngineKind, ExecOptions, MultiModelQuery};
 use xjoin_store::{DeltaPolicy, PreparedQuery, QueryService, TrieRegistry, VersionedStore};
 use xmldb::XmlDocument;
 
@@ -210,7 +211,12 @@ fn writers_never_perturb_parallel_queries_on_pinned_snapshots() {
         )
         .unwrap();
     });
-    for key in pinned_keys.iter().filter(|k| k.source == "rel:R1") {
+    let r1_keys: Vec<_> = pinned_keys
+        .iter()
+        .filter(|k| k.content() == "rel:R1")
+        .collect();
+    assert!(!r1_keys.is_empty(), "no pinned key reads R1");
+    for key in r1_keys {
         assert!(
             !store.registry().contains(key),
             "stale R1 trie survived the rewrite"
@@ -354,7 +360,12 @@ fn registry_respects_budget_and_purges_stale_entries_under_churn() {
     });
     let st = registry.stats();
     assert!(st.purged > 0, "the rewrite purged nothing");
-    for key in stale_keys.iter().filter(|k| k.source == "rel:R1") {
+    let r1_keys: Vec<_> = stale_keys
+        .iter()
+        .filter(|k| k.content() == "rel:R1")
+        .collect();
+    assert!(!r1_keys.is_empty(), "no stale key reads R1");
+    for key in r1_keys {
         assert!(
             !registry.contains(key),
             "stale R1 trie {key:?} survived the rewrite"
@@ -400,6 +411,82 @@ fn service_scales_across_snapshots_of_different_sizes() {
     let expect_big = execute(&snap_big.ctx(), &q, &ExecOptions::default()).unwrap();
     assert_eq!(sizes[0], expect_small.results.len());
     assert_eq!(sizes[1], expect_big.results.len());
+}
+
+/// A store over [`fixtures::graph_instance`]'s edge relation `E`.
+fn graph_store() -> VersionedStore {
+    let inst = fixtures::graph_instance(6, 10, 7);
+    VersionedStore::new(inst.db, inst.doc)
+}
+
+fn run(store: &VersionedStore, text: &str) -> usize {
+    let snap = store.snapshot();
+    let q = parse_query(text).unwrap();
+    let opts = ExecOptions::for_engine(EngineKind::Lftj);
+    let prepared = PreparedQuery::prepare(&snap, &q, opts).unwrap();
+    prepared.execute(&snap).unwrap().results.len()
+}
+
+/// The trie cache is keyed by content, not by the variable names a
+/// statement happens to use: a server answering an endless stream of
+/// α-renamed statements, each under names it has never seen, must not grow
+/// its cache, and constant selections grow it by one entry per constant.
+#[test]
+fn alpha_renamed_statements_keep_the_trie_cache_bounded() {
+    let store = graph_store();
+    let shapes = |n: usize| {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| format!("v{n}_{i}"));
+        [
+            format!("Q({a}, {b}) :- E({a}, {b})"),
+            format!("Q({a}, {b}, {c}) :- E({a}, {b}), E({b}, {c}), E({a}, {c})"),
+            format!(
+                "Q({a}, {b}, {c}, {d}) :- E({a}, {b}), E({a}, {c}), E({a}, {d}), \
+                 E({b}, {c}), E({b}, {d}), E({c}, {d})"
+            ),
+        ]
+    };
+    let answers: Vec<usize> = shapes(0).iter().map(|t| run(&store, t)).collect();
+    let first = store.registry().stats();
+    assert_eq!((first.builds, first.entries), (1, 1), "one trie serves all");
+    for n in 1..3_334 {
+        for (text, want) in shapes(n).iter().zip(&answers) {
+            assert_eq!(run(&store, text), *want, "{text}");
+        }
+    }
+    let after = store.registry().stats();
+    assert_eq!(
+        (after.builds, after.entries, after.bytes_in_use),
+        (first.builds, first.entries, first.bytes_in_use),
+        "renamed statements grew the cache"
+    );
+
+    // Never-seen selections: one entry per distinct constant, beside the
+    // base relation's.
+    for n in 0..10_000 {
+        run(&store, &format!("Q(b{n}) :- E({}, b{n})", n % 100));
+    }
+    let selections = store.registry().stats();
+    assert!(
+        selections.entries <= 100 + 1,
+        "{} entries after 100 distinct selections",
+        selections.entries
+    );
+}
+
+#[test]
+fn each_column_permutation_is_cached_once() {
+    let entries = |text: &str| {
+        let store = graph_store();
+        run(&store, text);
+        store.registry().stats().entries
+    };
+    assert_eq!(entries("Q(a, b, c) :- E(a, b), E(b, c), E(a, c)"), 1);
+    assert_eq!(
+        entries("Q(a, b, c, d) :- E(a, b), E(a, c), E(a, d), E(b, c), E(b, d), E(c, d)"),
+        1
+    );
+    // `E(b, a)` under the order `a, b` is E leveled by its second column.
+    assert_eq!(entries("Q(a, b) :- E(a, b), E(b, a)"), 2);
 }
 
 /// Brute-force level summaries of a relation under set semantics: at level
