@@ -27,8 +27,9 @@
 //!   bound prefixes instead of only at the end.
 
 use crate::atoms::{collect_atoms, Atoms};
+use crate::error::CoreError;
 use crate::error::Result;
-use crate::exec::{validate_output, QueryOutput};
+use crate::exec::{tick, validate_output, QueryOutput};
 use crate::order::{compute_order, OrderStrategy};
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
@@ -127,6 +128,33 @@ pub fn xjoin_with_plan(
     atom_sizes: Vec<(String, usize)>,
     first_path_atom: usize,
 ) -> Result<QueryOutput> {
+    levelwise(
+        ctx,
+        query,
+        cfg,
+        plan,
+        atom_sizes,
+        first_path_atom,
+        None,
+        None,
+    )
+}
+
+/// The breadth-first executor: Algorithm 1's expansion with the A-D and
+/// partial-validation filters, final structure validation, projection, and
+/// then the first `limit` rows. A `deadline` is read every 256 candidates
+/// the expansion proposes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn levelwise(
+    ctx: &DataContext<'_>,
+    query: &MultiModelQuery,
+    cfg: &XJoinConfig,
+    plan: &JoinPlan,
+    atom_sizes: Vec<(String, usize)>,
+    first_path_atom: usize,
+    limit: Option<usize>,
+    deadline: Option<Instant>,
+) -> Result<QueryOutput> {
     let start = Instant::now();
     let order: Vec<Attr> = plan.order().to_vec();
     validate_output(query, &order)?;
@@ -146,7 +174,7 @@ pub fn xjoin_with_plan(
     // "Filter E by satisfying relation between p and A": the cut A-D edges
     // and (optionally) partial structure validation.
     let mut cand: Vec<ValueId> = Vec::with_capacity(order.len());
-    let (tuples, count, expansion) = levelwise_expand(plan, |d, prefix, v| {
+    let mut filter = |d: usize, prefix: &[ValueId], v: ValueId| {
         for (pa, pd, set) in &ad_checks[d] {
             let va = if *pa == d { v } else { prefix[*pa] };
             let vd = if *pd == d { v } else { prefix[*pd] };
@@ -165,7 +193,21 @@ pub fn xjoin_with_plan(
             }
         }
         true
-    });
+    };
+    // One expansion per case, so a run without a deadline pays no check per
+    // candidate.
+    let (tuples, count, expansion) = match deadline {
+        None => levelwise_expand(plan, |d, prefix, v| {
+            Ok::<_, CoreError>(filter(d, prefix, v))
+        })?,
+        Some(deadline) => {
+            let mut steps = 0;
+            levelwise_expand(plan, |d, prefix, v| {
+                tick(deadline, &mut steps)?;
+                Ok::<_, CoreError>(filter(d, prefix, v))
+            })?
+        }
+    };
     stats.stages.extend(expansion.stages);
 
     // Final structure validation ("Filter R by validating structure of Sx").
@@ -184,6 +226,9 @@ pub fn xjoin_with_plan(
 
     if let Some(out_attrs) = &query.output {
         result = result.project(out_attrs)?;
+    }
+    if let Some(k) = limit {
+        result.truncate(k);
     }
     stats.output_rows = result.len();
     stats.elapsed = start.elapsed();

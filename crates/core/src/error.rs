@@ -20,6 +20,9 @@ pub enum CoreError {
     /// An output attribute references no variable of the query. Raised at
     /// resolve/prepare time, before any trie is built.
     UnknownAttribute(String),
+    /// The run's deadline passed before it finished: checked when the run
+    /// starts and every 256 steps of its walk or expansion.
+    DeadlineExceeded,
 }
 
 impl fmt::Display for CoreError {
@@ -34,6 +37,7 @@ impl fmt::Display for CoreError {
             CoreError::UnknownAttribute(a) => {
                 write!(f, "output attribute `{a}` is not a variable of the query")
             }
+            CoreError::DeadlineExceeded => write!(f, "deadline exceeded"),
         }
     }
 }
@@ -78,5 +82,6 @@ mod tests {
         let e = CoreError::UnknownAttribute("zz".into());
         assert!(e.to_string().contains("zz"));
         assert!(!CoreError::EmptyQuery.to_string().is_empty());
+        assert!(CoreError::DeadlineExceeded.to_string().contains("deadline"));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Historically every engine had its own entry point, configuration, and
 //! output type (`xjoin`, the callback-only `xjoin_stream`, and the
-//! relational crate's `lftj_join` / `generic_join`). This module folds the
-//! four engines that run from a trie [`JoinPlan`] behind three pieces:
+//! relational crate's `lftj_join` / `generic_join`). This module puts the
+//! engines that run from a trie [`JoinPlan`] behind three pieces:
 //!
 //! * [`EngineKind`] + [`ExecOptions`] — *what* to run and *how*: the engine
 //!   selector, the variable-order strategy, the optional XJoin filters, and
@@ -13,19 +13,27 @@
 //!   resolve (unknown relations, bad orders, unknown output attributes all
 //!   error *before any trie is built*), build or take a trie plan, and run
 //!   the selected engine: `execute` materialises one [`QueryOutput`],
-//!   `stream` returns a pull-based [`Rows`] iterator (engines that cannot
-//!   stream lazily materialise first — only their `Rows` wrapper differs,
-//!   never the result set);
+//!   `stream` returns a pull-based [`Rows`] iterator over the depth-first
+//!   walk, whatever the kind;
 //! * [`QueryBuilder`] / [`Query`] — one construction surface for MMQL text
 //!   and programmatic queries, carrying the options alongside the query.
 //!
-//! Every engine returns the same result *set* on the same query (the
-//! `engine_equivalence` and `exec_api` integration suites enforce this);
-//! they differ in intermediate behaviour: the level-wise engines obey the
-//! paper's Lemma 3.5 per-prefix bounds and the streaming engine enumerates
-//! in constant memory with true `LIMIT` pushdown. The paper's per-model
-//! baseline, which does not run from a trie plan, is called directly as
-//! [`crate::baseline()`].
+//! Generic Join, LFTJ and the paper's Algorithm 1 differ only in traversal
+//! order over one index contract, so a plan runs on one of two executors,
+//! each doing twig validation, projection, `limit` and an optional deadline
+//! itself ([`execute_with_plan_until`]):
+//!
+//! * **breadth-first** ([`EngineKind::XJoin`]): the level-wise expansion,
+//!   which materialises — and bounds, per the paper's Lemma 3.5 — every
+//!   prefix intermediate;
+//! * **depth-first** ([`EngineKind::XJoinStream`], with
+//!   [`EngineKind::Lftj`] as a synonym): the LFTJ walk, in constant memory
+//!   with true `LIMIT` pushdown.
+//!
+//! Both return the same result *set* on the same query (the
+//! `engine_equivalence` and `exec_api` integration suites enforce this).
+//! The paper's per-model baseline, which does not run from a trie plan, is
+//! called directly as [`crate::baseline()`].
 //!
 //! ```
 //! use relational::{Database, Schema, Value};
@@ -55,24 +63,21 @@
 //! ```
 
 use crate::atoms::{collect_atoms, Atoms};
-use crate::engine::{xjoin_with_plan, XJoinConfig};
+use crate::engine::{levelwise, XJoinConfig};
 use crate::error::{CoreError, Result};
 use crate::mmql::parse_query_with_options;
 use crate::order::{compute_order, OrderStrategy};
 use crate::query::{DataContext, MultiModelQuery, RelAtom, Term};
-use crate::stream::{stream_with_plan, Rows};
-use crate::validate::TwigValidator;
-use relational::generic::levelwise_join;
-use relational::lftj::lftj_counted;
+use crate::stream::{stream_with_plan, walk, Rows};
 use relational::{Attr, JoinPlan, JoinStats, Relation};
 use std::fmt;
 use std::time::Instant;
 use xmldb::TwigPattern;
 
-/// Selects which join engine executes a query. Every kind accepts the full
+/// Selects which executor runs a query. Every kind accepts the full
 /// multi-model query language and runs from a trie [`JoinPlan`] over the
-/// same lowered atom set (tables ∪ twig path relations), followed by the
-/// same twig-structure validation.
+/// same lowered atom set (tables ∪ twig path relations), with the same
+/// twig-structure validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The paper's Algorithm 1: level-wise worst-case optimal XJoin,
@@ -80,29 +85,21 @@ pub enum EngineKind {
     /// [`ExecOptions::partial_validation`] and [`ExecOptions::ad_filter`].
     #[default]
     XJoin,
-    /// Depth-first streaming XJoin: same atom set, LFTJ-style enumeration
-    /// with per-tuple structure validation. The engine behind true
-    /// `limit` pushdown — its [`Rows`] stop the trie walk after `k` rows.
+    /// Depth-first XJoin: the LFTJ walk over the same atoms with per-tuple
+    /// structure validation. The engine behind true `limit` pushdown — it
+    /// stops the trie walk after `k` rows.
     XJoinStream,
-    /// Raw Leapfrog Triejoin over the lowered atoms, validating the twig
-    /// structure *after* full enumeration (the relational engine wrapped
-    /// for multi-model queries).
+    /// A synonym of [`EngineKind::XJoinStream`]: the same executor, the
+    /// same results and the same statistics. It keeps its own name and
+    /// wire tag for callers that ask for Leapfrog Triejoin by name.
     Lftj,
-    /// The relational crate's level-wise generic join over the lowered
-    /// atoms (no A-D filtering / partial validation), then validation.
-    Generic,
 }
 
 impl EngineKind {
     /// Every engine kind (the cross-engine equivalence tests sweep this
     /// list).
-    pub fn all() -> [EngineKind; 4] {
-        [
-            EngineKind::XJoin,
-            EngineKind::XJoinStream,
-            EngineKind::Lftj,
-            EngineKind::Generic,
-        ]
+    pub fn all() -> [EngineKind; 3] {
+        [EngineKind::XJoin, EngineKind::XJoinStream, EngineKind::Lftj]
     }
 }
 
@@ -112,7 +109,6 @@ impl fmt::Display for EngineKind {
             EngineKind::XJoin => "xjoin",
             EngineKind::XJoinStream => "xjoin-stream",
             EngineKind::Lftj => "lftj",
-            EngineKind::Generic => "generic",
         })
     }
 }
@@ -131,8 +127,8 @@ pub struct ExecOptions {
     /// Prune candidates via cut A-D edge value pairs
     /// ([`EngineKind::XJoin`] only).
     pub ad_filter: bool,
-    /// Stop after this many result rows. The streaming engine pushes the
-    /// limit into the trie walk; materialising engines truncate their
+    /// Stop after this many result rows. The depth-first executor pushes
+    /// the limit into the trie walk; the level-wise one truncates its
     /// result.
     pub limit: Option<usize>,
 }
@@ -231,78 +227,24 @@ fn fresh_plan(atoms: &Atoms<'_>, order: &[Attr], opts: &ExecOptions) -> Result<J
     Ok(plan)
 }
 
-/// Shared back half of the LFTJ and generic engines: validate twig
-/// structure on the full-width result, project, apply the limit, and
-/// assemble the [`QueryOutput`]. `rel`'s schema must be laid out per
-/// `order`.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    ctx: &DataContext<'_>,
-    query: &MultiModelQuery,
-    order: Vec<Attr>,
-    mut rel: Relation,
-    mut stats: JoinStats,
-    atom_sizes: Vec<(String, usize)>,
-    opts: &ExecOptions,
-    start: Instant,
-) -> Result<QueryOutput> {
-    if !query.twigs.is_empty() {
-        let mut validators: Vec<TwigValidator<'_>> = query
-            .twigs
-            .iter()
-            .map(|t| TwigValidator::new(ctx.doc, ctx.index, t, &order))
-            .collect::<Result<_>>()?;
-        let mut valid = Relation::with_capacity(rel.schema().clone(), rel.len());
-        for tuple in rel.rows() {
-            if validators.iter_mut().all(|v| v.check(tuple)) {
-                valid.push(tuple).expect("same schema");
-            }
-        }
-        rel = valid;
-        stats.record("validate structure", rel.len());
-    }
-    if let Some(out_attrs) = &query.output {
-        rel = rel.project(out_attrs)?;
-    }
-    if let Some(k) = opts.limit {
-        rel.truncate(k);
-    }
-    stats.output_rows = rel.len();
-    stats.elapsed = start.elapsed();
-    Ok(QueryOutput {
-        results: rel,
-        stats,
-        order,
-        atom_sizes,
-    })
-}
+/// How many steps — walk tuples, or candidates the level-wise expansion
+/// proposes — a run with a deadline takes between two reads of the clock.
+/// Small enough that a runaway query overruns its deadline by only a batch
+/// of cheap trie steps; large enough that `Instant::now` never shows up in
+/// probe profiles.
+const DEADLINE_CHECK_EVERY: u32 = 256;
 
-/// Drains a walk-backed [`Rows`] into a materialised [`QueryOutput`] — the
-/// execute path of the streaming engine.
-fn drain_rows(
-    mut rows: Rows<'_>,
-    order: Vec<Attr>,
-    atom_sizes: Vec<(String, usize)>,
-    start: Instant,
-) -> Result<QueryOutput> {
-    let mut rel = Relation::new(rows.schema().clone());
-    for row in rows.by_ref() {
-        rel.push(&row).map_err(CoreError::from)?;
+/// Counts one step toward `deadline`, failing with
+/// [`CoreError::DeadlineExceeded`] when a check finds it passed.
+pub(crate) fn tick(deadline: Instant, steps: &mut u32) -> Result<()> {
+    *steps += 1;
+    if *steps == DEADLINE_CHECK_EVERY {
+        *steps = 0;
+        if Instant::now() >= deadline {
+            return Err(CoreError::DeadlineExceeded);
+        }
     }
-    // No stage records: the streaming engine materialises nothing, so its
-    // `max_intermediate()` is honestly zero — the walk's work counter lives
-    // in [`crate::stream::RowsStats::visited`], not in the Lemma 3.5 axis.
-    let stats = JoinStats {
-        output_rows: rel.len(),
-        elapsed: start.elapsed(),
-        ..JoinStats::default()
-    };
-    Ok(QueryOutput {
-        results: rel,
-        stats,
-        order,
-        atom_sizes,
-    })
+    Ok(())
 }
 
 /// Executes `query` on the engine selected by `opts` — the single blessed
@@ -335,22 +277,19 @@ pub fn execute(
     Ok(out)
 }
 
-/// Streams `query` on the engine selected by `opts`, returning the
-/// pull-based [`Rows`] iterator. [`EngineKind::XJoinStream`] walks the trie
-/// plan lazily (with `limit` pushed into the walk); the other kinds
-/// materialise via [`execute`] and iterate the buffer.
+/// Streams `query` as a pull-based [`Rows`] iterator: resolves it, builds
+/// a fresh trie plan, and walks it lazily with `limit` pushed into the
+/// walk. Every engine kind streams through the depth-first walk; the kind
+/// and its XJoin-only flags govern [`execute`], and the result *set* is the
+/// same either way.
 pub fn stream<'a>(
     ctx: &DataContext<'a>,
     query: &'a MultiModelQuery,
     opts: &ExecOptions,
 ) -> Result<Rows<'a>> {
-    if opts.engine == EngineKind::XJoinStream {
-        let (atoms, order) = resolve(ctx, query, opts)?;
-        let plan = fresh_plan(&atoms, &order, opts)?;
-        return stream_with_plan(ctx, query, plan, opts);
-    }
-    let out = execute(ctx, query, opts)?;
-    Ok(Rows::from_relation(out.results, out.order))
+    let (atoms, order) = resolve(ctx, query, opts)?;
+    let plan = fresh_plan(&atoms, &order, opts)?;
+    stream_with_plan(ctx, query, plan, opts)
 }
 
 /// Executes the selected engine over an already-assembled [`JoinPlan`]
@@ -365,48 +304,43 @@ pub fn execute_with_plan(
     atom_sizes: Vec<(String, usize)>,
     first_path_atom: usize,
 ) -> Result<QueryOutput> {
-    let start = Instant::now();
+    execute_with_plan_until(ctx, query, opts, plan, atom_sizes, first_path_atom, None)
+}
+
+/// [`execute_with_plan`] that gives up with [`CoreError::DeadlineExceeded`]
+/// once `deadline` passes. The deadline is read when the run starts and
+/// then every 256 steps: walk tuples on the depth-first executor (rows that
+/// twig validation rejects or a lossy projection drops included),
+/// candidates the expansion proposes on the level-wise one. With `None`
+/// this is exactly [`execute_with_plan`]; with a deadline that does not
+/// pass, it returns the same output, stage series included.
+pub fn execute_with_plan_until(
+    ctx: &DataContext<'_>,
+    query: &MultiModelQuery,
+    opts: &ExecOptions,
+    plan: &JoinPlan,
+    atom_sizes: Vec<(String, usize)>,
+    first_path_atom: usize,
+    deadline: Option<Instant>,
+) -> Result<QueryOutput> {
     let mut exec_span = xjoin_obs::span("execute");
     exec_span.set_attr(|| opts.engine.to_string());
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(CoreError::DeadlineExceeded);
+    }
     match opts.engine {
-        EngineKind::XJoin => {
-            let mut out = xjoin_with_plan(
-                ctx,
-                query,
-                &opts.xjoin_config(),
-                plan,
-                atom_sizes,
-                first_path_atom,
-            )?;
-            if let Some(k) = opts.limit {
-                if out.results.len() > k {
-                    out.results.truncate(k);
-                    out.stats.output_rows = k;
-                }
-            }
-            Ok(out)
-        }
-        EngineKind::XJoinStream => {
-            let rows = Rows::from_walk(ctx, query, plan.clone(), opts.limit)?;
-            drain_rows(rows, plan.order().to_vec(), atom_sizes, start)
-        }
-        EngineKind::Lftj => {
-            validate_output(query, plan.order())?;
-            let (raw, counters) = lftj_counted(plan);
-            let mut stats = JoinStats {
-                reorders: counters.reorders,
-                estimate_probes: counters.estimate_probes,
-                ..JoinStats::default()
-            };
-            stats.record("lftj enumerate", raw.len());
-            let order = plan.order().to_vec();
-            finish(ctx, query, order, raw, stats, atom_sizes, opts, start)
-        }
-        EngineKind::Generic => {
-            validate_output(query, plan.order())?;
-            let (raw, stats) = levelwise_join(plan);
-            let order = plan.order().to_vec();
-            finish(ctx, query, order, raw, stats, atom_sizes, opts, start)
+        EngineKind::XJoin => levelwise(
+            ctx,
+            query,
+            &opts.xjoin_config(),
+            plan,
+            atom_sizes,
+            first_path_atom,
+            opts.limit,
+            deadline,
+        ),
+        EngineKind::XJoinStream | EngineKind::Lftj => {
+            walk(ctx, query, plan, atom_sizes, opts.limit, deadline)
         }
     }
 }
@@ -533,7 +467,7 @@ impl QueryBuilder {
     }
 
     /// Stops after `k` result rows (pushed into the trie walk by the
-    /// streaming engine).
+    /// depth-first executor).
     pub fn limit(mut self, k: usize) -> Self {
         self.options.limit = Some(k);
         self

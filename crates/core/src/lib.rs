@@ -20,11 +20,11 @@
 //! * [`validate`] — the final (and partial) twig-structure validation;
 //! * [`mod@stream`] — the pull-based [`Rows`] iterator: depth-first (LFTJ-style)
 //!   enumeration without materialised intermediates, with `LIMIT` pushdown;
-//! * [`exec`] — **the unified execution API**: the four engines that run
-//!   from a trie plan (level-wise XJoin, streaming XJoin, LFTJ, generic)
-//!   behind the [`execute`] / [`stream()`] functions, selected by
-//!   [`EngineKind`], configured by [`ExecOptions`], built via
-//!   [`QueryBuilder`], returning one [`QueryOutput`];
+//! * [`exec`] — **the unified execution API**: the two executors that run
+//!   a trie plan (breadth-first XJoin, depth-first LFTJ walk) behind the
+//!   [`execute`] / [`stream()`] functions, selected by [`EngineKind`],
+//!   configured by [`ExecOptions`], built via [`QueryBuilder`], returning
+//!   one [`QueryOutput`];
 //! * [`mmql`] — a datalog-style surface syntax
 //!   (`Q(x,y) :- R(x,y), //twig`), with constants and intra-atom equalities;
 //! * [`mod@explain`] — `EXPLAIN`: lowered atoms, chosen order, per-prefix bounds.
@@ -74,8 +74,8 @@ pub use bounds::{mixed_hypergraph, prefix_bounds, query_bound, query_exponent, q
 pub use engine::{lower, xjoin, xjoin_with_plan, XJoinConfig};
 pub use error::{CoreError, Result};
 pub use exec::{
-    execute, execute_with_plan, stream, validate_output, EngineKind, ExecOptions, ExecPlan, Query,
-    QueryBuilder, QueryOutput,
+    execute, execute_with_plan, execute_with_plan_until, stream, validate_output, EngineKind,
+    ExecOptions, ExecPlan, Query, QueryBuilder, QueryOutput,
 };
 pub use explain::{
     explain, explain_analyze, AdaptiveAnalysis, AnalyzeReport, Explanation, LevelAnalysis,
@@ -87,5 +87,5 @@ pub use query::{
     all_variables, variables_of, DataContext, MultiModelQuery, RelAtom, ResolvedAtom, Term,
 };
 pub use relational::Ladder;
-pub use stream::{stream_with_plan, xjoin_rows, Rows, RowsStats};
+pub use stream::{stream_with_plan, Rows, RowsStats};
 pub use validate::TwigValidator;

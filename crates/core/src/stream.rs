@@ -1,5 +1,6 @@
 //! Pull-based result streaming: the [`Rows`] iterator behind the unified
-//! execution API.
+//! execution API, and the depth-first executor it shares with
+//! [`crate::execute`].
 //!
 //! The paper's Algorithm 1 is breadth-first (it materialises `R` after every
 //! attribute expansion — which is what makes its intermediate sizes
@@ -13,42 +14,32 @@
 //!   [`TwigValidator`] as the level-wise engine;
 //! * the query's output projection is applied per row (with on-the-fly
 //!   de-duplication when the projection drops variables, preserving the
-//!   materialising engines' set semantics);
+//!   level-wise engine's set semantics);
 //! * a `limit` is pushed into the walk: after `k` rows the iterator fuses
 //!   and the remaining search space is never visited —
 //!   [`Rows::stats`] exposes the binding counter that proves it.
 //!
-//! Engines that must materialise anyway (level-wise XJoin, LFTJ, the
-//! generic join) return a buffered [`Rows`] over their finished result, so
-//! every engine presents the same iterator type.
+//! Every engine kind streams through this walk. Materialising a query on
+//! [`crate::EngineKind::XJoinStream`] (or its synonym
+//! [`crate::EngineKind::Lftj`]) runs the same loop eagerly, writing each
+//! row straight into the output relation.
 
 use crate::error::{CoreError, Result};
-use crate::exec::{validate_output, ExecOptions};
+use crate::exec::{tick, validate_output, ExecOptions, QueryOutput};
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
-use relational::{Attr, JoinPlan, LftjWalk, Relation, Schema, ValueId};
+use relational::{Attr, JoinPlan, JoinStats, LftjWalk, Relation, Schema, ValueId};
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// Counters of a [`Rows`] iteration (snapshot via [`Rows::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowsStats {
     /// Rows handed out so far (post validation / projection / limit).
     pub emitted: usize,
-    /// Work the producer actually did: variable bindings made by the trie
-    /// walk for streamed rows, or the full buffered size for materialised
-    /// rows. A `limit` strictly shrinks this for streamed rows.
+    /// Work the walk actually did: the variable bindings it made. A `limit`
+    /// strictly shrinks this.
     pub visited: u64,
-}
-
-enum Inner<'a> {
-    /// A finished result relation (from a materialising engine), iterated
-    /// in place — no per-row copies until a row is actually yielded.
-    Buffered { rel: Relation, next: usize },
-    /// A live depth-first trie walk with per-tuple validation.
-    Walk {
-        walk: Box<LftjWalk>,
-        validators: Vec<TwigValidator<'a>>,
-    },
 }
 
 /// A pull-based iterator over a query's result rows — the one streaming
@@ -57,26 +48,31 @@ enum Inner<'a> {
 ///
 /// Yields one `Vec<ValueId>` per result row, laid out per [`Rows::schema`].
 /// Construct via [`crate::exec::stream`], [`crate::exec::Query::rows`], or
-/// the plan-level [`xjoin_rows`] / [`stream_with_plan`].
+/// the plan-level [`stream_with_plan`].
 pub struct Rows<'a> {
+    walk: Box<LftjWalk>,
+    validators: Vec<TwigValidator<'a>>,
     schema: Schema,
     order: Vec<Attr>,
     /// Positions of the output attributes within `order` (`None` =
     /// identity).
     projection: Option<Vec<usize>>,
+    /// The current row, reused from one row to the next.
+    row: Vec<ValueId>,
     /// Set semantics for lossy projections: rows already emitted.
     seen: Option<HashSet<Vec<ValueId>>>,
     limit: Option<usize>,
     emitted: usize,
-    inner: Inner<'a>,
+    /// Read every 256 walk tuples; only the depth-first executor sets it.
+    deadline: Option<Instant>,
+    steps: u32,
 }
 
 impl<'a> Rows<'a> {
     /// Streams the results of `query` by walking `plan` depth-first,
     /// validating twig structure per tuple. `limit` is pushed into the
-    /// walk. The output projection (if any) must already be validated
-    /// against the plan's order — [`Rows::from_walk`] re-checks it.
-    pub(crate) fn from_walk(
+    /// walk. Fails if an output attribute is not in the plan's order.
+    fn from_walk(
         ctx: &DataContext<'a>,
         query: &'a MultiModelQuery,
         plan: JoinPlan,
@@ -112,32 +108,18 @@ impl<'a> Rows<'a> {
             }
         };
         Ok(Rows {
+            walk: Box::new(LftjWalk::new(plan)),
+            validators,
+            row: Vec::with_capacity(schema.arity()),
             schema,
             order,
             projection,
             seen,
             limit,
             emitted: 0,
-            inner: Inner::Walk {
-                walk: Box::new(LftjWalk::new(plan)),
-                validators,
-            },
+            deadline: None,
+            steps: 0,
         })
-    }
-
-    /// Wraps a finished result relation (already validated, projected, and
-    /// deduplicated by its engine) in the common iterator type. `order` is
-    /// the engine's unprojected tuple layout, kept for [`Rows::order`].
-    pub(crate) fn from_relation(rel: Relation, order: Vec<Attr>) -> Rows<'static> {
-        Rows {
-            schema: rel.schema().clone(),
-            order,
-            projection: None,
-            seen: None,
-            limit: None,
-            emitted: 0,
-            inner: Inner::Buffered { rel, next: 0 },
-        }
     }
 
     /// The schema of the yielded rows (output attributes, or the full
@@ -146,32 +128,62 @@ impl<'a> Rows<'a> {
         &self.schema
     }
 
-    /// The engine's global variable order (the unprojected tuple layout).
+    /// The walk's global variable order (the unprojected tuple layout).
     pub fn order(&self) -> &[Attr] {
         &self.order
     }
 
-    /// Current iteration counters. For walk-backed rows, `visited` is the
-    /// number of variable bindings the trie walk has made — compare a
-    /// limited run against a full one to observe `LIMIT` pushdown.
+    /// Current iteration counters: `visited` is the number of variable
+    /// bindings the trie walk has made — compare a limited run against a
+    /// full one to observe `LIMIT` pushdown.
     pub fn stats(&self) -> RowsStats {
-        let visited = match &self.inner {
-            Inner::Buffered { rel, .. } => rel.len() as u64,
-            Inner::Walk { walk, .. } => walk.bindings(),
-        };
         RowsStats {
             emitted: self.emitted,
-            visited,
+            visited: self.walk.bindings(),
         }
     }
 
     /// Drains the remaining rows into a relation with [`Rows::schema`].
     pub fn into_relation(mut self) -> Relation {
         let mut rel = Relation::new(self.schema.clone());
-        for row in self.by_ref() {
-            rel.push(&row).expect("schema arity matches");
+        while let Ok(Some(row)) = self.next_row() {
+            rel.push(row).expect("schema arity matches");
         }
         rel
+    }
+
+    /// The next row after validation, projection, dedup and limit, or
+    /// `None` once the walk is exhausted or the limit reached. Counts every
+    /// tuple the walk yields, rejected and duplicate ones included, toward
+    /// the deadline.
+    fn next_row(&mut self) -> Result<Option<&[ValueId]>> {
+        if self.limit.is_some_and(|k| self.emitted >= k) {
+            return Ok(None);
+        }
+        loop {
+            let Some(tuple) = self.walk.next_tuple() else {
+                return Ok(None);
+            };
+            if let Some(deadline) = self.deadline {
+                tick(deadline, &mut self.steps)?;
+            }
+            if !self.validators.iter_mut().all(|v| v.check(tuple)) {
+                continue;
+            }
+            self.row.clear();
+            match &self.projection {
+                Some(positions) => self.row.extend(positions.iter().map(|&p| tuple[p])),
+                None => self.row.extend_from_slice(tuple),
+            }
+            if let Some(seen) = &mut self.seen {
+                if seen.contains(&self.row) {
+                    continue;
+                }
+                seen.insert(self.row.clone());
+            }
+            self.emitted += 1;
+            return Ok(Some(&self.row));
+        }
     }
 }
 
@@ -179,45 +191,8 @@ impl Iterator for Rows<'_> {
     type Item = Vec<ValueId>;
 
     fn next(&mut self) -> Option<Vec<ValueId>> {
-        if self.limit.is_some_and(|k| self.emitted >= k) {
-            return None;
-        }
-        loop {
-            match &mut self.inner {
-                Inner::Buffered { rel, next } => {
-                    if *next >= rel.len() {
-                        return None;
-                    }
-                    // `row()` panics on nullary relations; those hold only
-                    // empty tuples, yielded directly.
-                    let row = if rel.arity() == 0 {
-                        Vec::new()
-                    } else {
-                        rel.row(*next).to_vec()
-                    };
-                    *next += 1;
-                    self.emitted += 1;
-                    return Some(row);
-                }
-                Inner::Walk { walk, validators } => {
-                    let tuple = walk.next_tuple()?;
-                    if !validators.iter_mut().all(|v| v.check(tuple)) {
-                        continue;
-                    }
-                    let row: Vec<ValueId> = match &self.projection {
-                        Some(positions) => positions.iter().map(|&p| tuple[p]).collect(),
-                        None => tuple.to_vec(),
-                    };
-                    if let Some(seen) = &mut self.seen {
-                        if !seen.insert(row.clone()) {
-                            continue;
-                        }
-                    }
-                    self.emitted += 1;
-                    return Some(row);
-                }
-            }
-        }
+        // A pulled `Rows` has no deadline, so `next_row` cannot fail.
+        self.next_row().ok()?.map(<[ValueId]>::to_vec)
     }
 }
 
@@ -227,38 +202,13 @@ impl std::fmt::Debug for Rows<'_> {
             .field("schema", &self.schema)
             .field("emitted", &self.emitted)
             .field("limit", &self.limit)
-            .field(
-                "mode",
-                &match self.inner {
-                    Inner::Buffered { .. } => "buffered",
-                    Inner::Walk { .. } => "walk",
-                },
-            )
             .finish()
     }
 }
 
-/// Streams the multi-model query depth-first with a fresh plan: lowers the
-/// query, fixes the order per `cfg`, builds tries, and returns the lazy
-/// [`Rows`]. Prefer [`crate::exec::stream`] unless you specifically want
-/// the streaming XJoin regardless of options.
-pub fn xjoin_rows<'a>(
-    ctx: &DataContext<'a>,
-    query: &'a MultiModelQuery,
-    cfg: &crate::engine::XJoinConfig,
-    limit: Option<usize>,
-) -> Result<Rows<'a>> {
-    let atoms = crate::atoms::collect_atoms(ctx, query)?;
-    let order = crate::order::compute_order(&atoms, &cfg.order)?;
-    validate_output(query, &order)?;
-    let plan = JoinPlan::new(&atoms.rel_refs(), &order)?;
-    Rows::from_walk(ctx, query, plan, limit)
-}
-
 /// Streams the query over an already-assembled plan (whose tries may come
-/// from a shared cache — see the `xjoin-store` crate), with the same
-/// per-tuple validation as [`xjoin_rows`]; the options' `limit` is pushed
-/// into the walk.
+/// from a shared cache — see the `xjoin-store` crate), validating twig
+/// structure per tuple; the options' `limit` is pushed into the walk.
 pub fn stream_with_plan<'a>(
     ctx: &DataContext<'a>,
     query: &'a MultiModelQuery,
@@ -268,10 +218,46 @@ pub fn stream_with_plan<'a>(
     Rows::from_walk(ctx, query, plan, opts.limit)
 }
 
+/// The depth-first executor: the [`Rows`] loop run to the end (or to
+/// `limit`), each row written straight into the output relation. A
+/// `deadline` is read every 256 walk tuples. Records the walk's
+/// adaptive-order counters and no stage series: the walk materialises no
+/// intermediate.
+pub(crate) fn walk(
+    ctx: &DataContext<'_>,
+    query: &MultiModelQuery,
+    plan: &JoinPlan,
+    atom_sizes: Vec<(String, usize)>,
+    limit: Option<usize>,
+    deadline: Option<Instant>,
+) -> Result<QueryOutput> {
+    let start = Instant::now();
+    let mut rows = Rows::from_walk(ctx, query, plan.clone(), limit)?;
+    rows.deadline = deadline;
+    let mut results = Relation::new(rows.schema.clone());
+    while let Some(row) = rows.next_row()? {
+        results.push(row)?;
+    }
+    let stats = JoinStats {
+        output_rows: results.len(),
+        elapsed: start.elapsed(),
+        reorders: rows.walk.reorders(),
+        estimate_probes: rows.walk.estimate_probes(),
+        ..JoinStats::default()
+    };
+    Ok(QueryOutput {
+        results,
+        stats,
+        order: rows.order,
+        atom_sizes,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{xjoin, XJoinConfig};
+    use crate::exec::stream;
     use relational::{Database, Schema as RSchema, Value};
     use xmldb::{TagIndex, XmlDocument};
 
@@ -313,7 +299,7 @@ mod tests {
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["R"], &["//line[/orderID][/price]"]).unwrap();
         let cfg = XJoinConfig::default();
-        let streamed = collect(xjoin_rows(&ctx, &q, &cfg, None).unwrap());
+        let streamed = collect(stream(&ctx, &q, &ExecOptions::default()).unwrap());
         let levelwise = xjoin(&ctx, &q, &cfg).unwrap();
         assert!(streamed.set_eq(&levelwise.results));
     }
@@ -326,7 +312,7 @@ mod tests {
         let q = MultiModelQuery::new(&["R"], &["//line[/orderID][/price]"])
             .unwrap()
             .with_output(&["userID", "price"]);
-        let streamed = collect(xjoin_rows(&ctx, &q, &XJoinConfig::default(), None).unwrap());
+        let streamed = collect(stream(&ctx, &q, &ExecOptions::default()).unwrap());
         let levelwise = xjoin(&ctx, &q, &XJoinConfig::default()).unwrap();
         assert!(streamed.set_eq(&levelwise.results));
         assert_eq!(streamed.len(), 2);
@@ -362,7 +348,7 @@ mod tests {
         let q = MultiModelQuery::new(&["R"], &["//line/orderID"])
             .unwrap()
             .with_output(&["userID"]);
-        let streamed = collect(xjoin_rows(&ctx, &q, &XJoinConfig::default(), None).unwrap());
+        let streamed = collect(stream(&ctx, &q, &ExecOptions::default()).unwrap());
         let levelwise = xjoin(&ctx, &q, &XJoinConfig::default()).unwrap();
         assert_eq!(streamed.len(), 1);
         assert!(streamed.set_eq(&levelwise.results));
@@ -391,9 +377,7 @@ mod tests {
         let idx = TagIndex::build(&doc);
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["D"], &["//line[/orderID][/price]"]).unwrap();
-        let n = xjoin_rows(&ctx, &q, &XJoinConfig::default(), None)
-            .unwrap()
-            .count();
+        let n = stream(&ctx, &q, &ExecOptions::default()).unwrap().count();
         // Valid: (line1, 1, 7) and (line2, 2, 7) — not the 2x2 cross.
         assert_eq!(n, 2);
     }
@@ -404,9 +388,7 @@ mod tests {
         let idx = TagIndex::build(&doc);
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["R"], &["//line/orderID"]).unwrap();
-        let rows: Vec<Vec<ValueId>> = xjoin_rows(&ctx, &q, &XJoinConfig::default(), None)
-            .unwrap()
-            .collect();
+        let rows: Vec<Vec<ValueId>> = stream(&ctx, &q, &ExecOptions::default()).unwrap().collect();
         assert!(!rows.is_empty());
         let mut sorted = rows.clone();
         sorted.sort();
@@ -420,12 +402,16 @@ mod tests {
         let ctx = DataContext::new(&db, &doc, &idx);
         let q = MultiModelQuery::new(&["R"], &["//line/orderID"]).unwrap();
 
-        let mut full = xjoin_rows(&ctx, &q, &XJoinConfig::default(), None).unwrap();
+        let mut full = stream(&ctx, &q, &ExecOptions::default()).unwrap();
         let total = full.by_ref().count();
         let full_visited = full.stats().visited;
         assert!(total > 1);
 
-        let mut limited = xjoin_rows(&ctx, &q, &XJoinConfig::default(), Some(1)).unwrap();
+        let limit_one = ExecOptions {
+            limit: Some(1),
+            ..ExecOptions::default()
+        };
+        let mut limited = stream(&ctx, &q, &limit_one).unwrap();
         assert!(limited.next().is_some());
         assert!(limited.next().is_none(), "limited rows must fuse");
         let st = limited.stats();
@@ -447,21 +433,8 @@ mod tests {
             .unwrap()
             .with_output(&["zz"]);
         assert!(matches!(
-            xjoin_rows(&ctx, &q, &XJoinConfig::default(), None),
+            stream(&ctx, &q, &ExecOptions::default()),
             Err(CoreError::UnknownAttribute(_))
         ));
-    }
-
-    #[test]
-    fn buffered_rows_iterate_a_finished_result() {
-        let (db, doc) = setup();
-        let idx = TagIndex::build(&doc);
-        let ctx = DataContext::new(&db, &doc, &idx);
-        let q = MultiModelQuery::new(&["R"], &[]).unwrap();
-        let out = xjoin(&ctx, &q, &XJoinConfig::default()).unwrap();
-        let n = out.results.len();
-        let rows = Rows::from_relation(out.results, out.order);
-        assert_eq!(rows.stats().visited, n as u64);
-        assert_eq!(rows.count(), n);
     }
 }

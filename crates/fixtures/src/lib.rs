@@ -518,11 +518,7 @@ mod tests {
         let ctx = DataContext::new(&inst.db, &inst.doc, &idx);
         for q in [triangle_query(), clique4_query()] {
             let reference = execute(&ctx, &q, &ExecOptions::default()).unwrap();
-            for kind in [
-                EngineKind::Lftj,
-                EngineKind::Generic,
-                EngineKind::XJoinStream,
-            ] {
+            for kind in [EngineKind::Lftj, EngineKind::XJoinStream] {
                 let out = execute(&ctx, &q, &ExecOptions::for_engine(kind)).unwrap();
                 assert!(out.results.set_eq(&reference.results), "engine {kind}");
             }

@@ -20,6 +20,7 @@ use crate::relation::Relation;
 use crate::schema::{Attr, Schema};
 use crate::stats::{JoinStats, LevelProbeStats};
 use crate::value::ValueId;
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Runs the level-wise generic join over a validated plan, returning the
@@ -28,7 +29,8 @@ pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
     let start = Instant::now();
     let schema = Schema::new(plan.order().iter().cloned()).expect("order vars are distinct");
     let width = plan.order().len();
-    let (tuples, count, mut stats) = levelwise_expand(plan, |_, _, _| true);
+    let expanded = levelwise_expand(plan, |_, _, _| Ok::<bool, Infallible>(true));
+    let (tuples, count, mut stats) = expanded.unwrap_or_else(|never| match never {});
     let mut out = Relation::with_capacity(schema, count);
     if width > 0 {
         for t in 0..count {
@@ -45,8 +47,9 @@ pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
 /// materialising after each the tuples over the bound prefix.
 /// `keep(depth, prefix, candidate)` sees every
 /// extension the leapfrog intersection proposes at `depth` and drops it by
-/// returning `false` (XJoin's A-D and partial-structure filters; a plain
-/// join keeps everything).
+/// returning `Ok(false)` (XJoin's A-D and partial-structure filters; a plain
+/// join keeps everything). An `Err` stops the expansion where it stands and
+/// is returned as is: that is how a caller's deadline interrupts it.
 ///
 /// Each intermediate tuple carries its prefix's frame — per atom, the nodes
 /// its bound levels reached, one per physical run — so layered atoms expand
@@ -56,17 +59,17 @@ pub fn levelwise_join(plan: &JoinPlan) -> (Relation, JoinStats) {
 /// Returns the surviving full-width tuples flattened row-major, their count,
 /// and stats holding one stage record per variable — all zero when an atom
 /// is empty or a level dies out.
-pub fn levelwise_expand(
+pub fn levelwise_expand<E>(
     plan: &JoinPlan,
-    mut keep: impl FnMut(usize, &[ValueId], ValueId) -> bool,
-) -> (Vec<ValueId>, usize, JoinStats) {
+    mut keep: impl FnMut(usize, &[ValueId], ValueId) -> std::result::Result<bool, E>,
+) -> std::result::Result<(Vec<ValueId>, usize, JoinStats), E> {
     let mut stats = JoinStats::default();
 
     if plan.has_empty_atom() {
         for var in plan.order() {
             stats.record_var(var, 0);
         }
-        return (Vec::new(), 0, stats);
+        return Ok((Vec::new(), 0, stats));
     }
 
     let off = frame_offsets(plan);
@@ -94,7 +97,7 @@ pub fn levelwise_expand(
             let frame = &frames[t * fw..t * fw + fw];
             level.open(plan, frame);
             while let Some(v) = level.advance::<false>(plan, &mut untracked) {
-                if !keep(d, prefix, v) {
+                if !keep(d, prefix, v)? {
                     continue;
                 }
                 next_tuples.extend_from_slice(prefix);
@@ -120,7 +123,7 @@ pub fn levelwise_expand(
             break;
         }
     }
-    (tuples, count, stats)
+    Ok((tuples, count, stats))
 }
 
 /// Convenience wrapper: plans and runs the generic join over `relations`

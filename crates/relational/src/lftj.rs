@@ -481,34 +481,10 @@ pub fn lftj_foreach(plan: &JoinPlan, mut cb: impl FnMut(&[ValueId])) {
 
 /// Materialises the LFTJ result into a relation (schema = variable order).
 pub fn lftj(plan: &JoinPlan) -> Relation {
-    lftj_counted(plan).0
-}
-
-/// Adaptive-ordering counters of one exhausted walk, harvested by
-/// materialising drivers into `JoinStats` (zero for static plans).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WalkCounters {
-    /// See [`LftjWalk::reorders`].
-    pub reorders: u64,
-    /// See [`LftjWalk::estimate_probes`].
-    pub estimate_probes: u64,
-}
-
-/// [`lftj`] that also returns the walk's adaptive-ordering counters, so
-/// engines can surface reorder decisions and estimate maintenance cost
-/// without re-running the join.
-pub fn lftj_counted(plan: &JoinPlan) -> (Relation, WalkCounters) {
     let schema = Schema::new(plan.order().iter().cloned()).expect("distinct order");
     let mut out = Relation::new(schema);
-    let mut walk = LftjWalk::new(plan.clone());
-    while let Some(t) = walk.next_tuple() {
-        out.push(t).expect("arity matches");
-    }
-    let counters = WalkCounters {
-        reorders: walk.reorders(),
-        estimate_probes: walk.estimate_probes(),
-    };
-    (out, counters)
+    lftj_foreach(plan, |t| out.push(t).expect("arity matches"));
+    out
 }
 
 /// Convenience wrapper: plans and runs LFTJ over `relations` under `order`.
@@ -1092,16 +1068,6 @@ mod tests {
                     "estimate at var {v} is an upper bound"
                 );
             }
-        }
-
-        #[test]
-        fn counted_materialisation_reports_reorders() {
-            let plan = branch_plan(Some(Ladder::Refined));
-            let (rel_adaptive, counters) = lftj_counted(&plan);
-            assert!(counters.reorders > 0);
-            assert!(counters.estimate_probes > 0);
-            let static_rel = lftj(&branch_plan(None));
-            assert!(rel_adaptive.set_eq(&static_rel));
         }
     }
 }

@@ -41,7 +41,7 @@ pub use catalog::Database;
 pub use delta::DeltaTrie;
 pub use error::{RelError, Result};
 pub use leapfrog::{block_seek, gallop};
-pub use lftj::{LftjWalk, WalkCounters};
+pub use lftj::LftjWalk;
 pub use plan::{JoinPlan, Ladder};
 pub use relation::Relation;
 pub use schema::{Attr, Schema};

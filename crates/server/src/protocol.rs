@@ -31,6 +31,10 @@
 //! tail after the limit, and an arrival-order flag bit. A request can no
 //! longer ask the server to spawn threads on its behalf; version-1 frames
 //! are rejected as malformed at the header.
+//!
+//! Version 3 retired engine tag 3, the level-wise generic join: it was
+//! level-wise XJoin without the filters. The tag now decodes as malformed,
+//! and so does every version-2 frame, at the header.
 
 use relational::Value;
 use std::io::{self, Read, Write};
@@ -39,7 +43,7 @@ use xjoin_core::{EngineKind, ExecOptions, Ladder, OrderStrategy};
 /// Protocol magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"XJ";
 /// Protocol version carried in every frame header.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Upper bound on a frame payload (16 MiB): anything larger is malformed.
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
@@ -395,7 +399,6 @@ fn put_str32(out: &mut Vec<u8>, s: &str) {
 const ENGINE_XJOIN: u8 = 0;
 const ENGINE_XJOIN_STREAM: u8 = 1;
 const ENGINE_LFTJ: u8 = 2;
-const ENGINE_GENERIC: u8 = 3;
 
 /// Appends the self-delimiting encoding of `opts` to `out`.
 ///
@@ -406,7 +409,6 @@ pub fn encode_options(out: &mut Vec<u8>, opts: &ExecOptions) {
         EngineKind::XJoin => out.push(ENGINE_XJOIN),
         EngineKind::XJoinStream => out.push(ENGINE_XJOIN_STREAM),
         EngineKind::Lftj => out.push(ENGINE_LFTJ),
-        EngineKind::Generic => out.push(ENGINE_GENERIC),
     }
     match &opts.order {
         OrderStrategy::Appearance => out.push(0),
@@ -443,7 +445,6 @@ pub fn decode_options(c: &mut Cursor<'_>) -> WireResult<ExecOptions> {
         ENGINE_XJOIN => EngineKind::XJoin,
         ENGINE_XJOIN_STREAM => EngineKind::XJoinStream,
         ENGINE_LFTJ => EngineKind::Lftj,
-        ENGINE_GENERIC => EngineKind::Generic,
         b => return Err(malformed(format!("unknown engine tag {b}"))),
     };
     let order = match c.u8()? {

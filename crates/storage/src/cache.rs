@@ -1,9 +1,9 @@
 //! The trie registry: a shared, byte-budgeted LRU cache of built tries.
 //!
 //! Building a trie is the dominant per-query cost on repeated workloads —
-//! every engine in the workspace (LFTJ, the level-wise generic join,
-//! streaming XJoin, and the level-wise XJoin engine) consumes the same flat
-//! sorted [`Trie`] representation, so one cache serves them all.
+//! both executors in the workspace (the depth-first LFTJ walk and the
+//! level-wise XJoin) consume the same flat sorted [`Trie`] representation,
+//! so one cache serves them all.
 //!
 //! Entries are name-free: a [`TrieKey`] identifies one by content, column
 //! permutation, version and store — never by a query's variable names, which

@@ -22,8 +22,8 @@ pub enum StoreError {
     },
     /// The query's deadline expired before a result was produced — either
     /// while the job was still queued (checked at dequeue), mid-execution
-    /// (checked between row batches of a deadline-aware drain), or while the
-    /// caller waited on its [`crate::Ticket`].
+    /// (checked every 256 steps of the engine's walk or expansion), or while
+    /// the caller waited on its [`crate::Ticket`].
     DeadlineExceeded {
         /// Label of the query whose deadline expired (its atom list).
         label: String,

@@ -11,9 +11,9 @@
 //! * [`cache`] — a [`TrieRegistry`]: built tries behind `Arc`, keyed
 //!   name-free by `(store, content, version, column permutation)` so every
 //!   α-renaming of an atom shares one entry, with an LRU byte budget and
-//!   hit/miss/eviction counters. One cache serves LFTJ, the generic join,
-//!   streaming XJoin, and the level-wise XJoin engine — XML path relations
-//!   (lowered via `xmldb::transform`) included;
+//!   hit/miss/eviction counters. One cache serves the depth-first walk and
+//!   the level-wise XJoin — XML path relations (lowered via
+//!   `xmldb::transform`) included;
 //! * [`prepared`] — [`PreparedQuery`]: parse/validate/order a
 //!   [`xjoin_core::MultiModelQuery`] once (with its pinned
 //!   [`xjoin_core::ExecOptions`] — any engine kind), pin its

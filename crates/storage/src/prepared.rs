@@ -8,10 +8,11 @@
 //! under). Execution against any later snapshot then resolves each
 //! template to a concrete [`TrieKey`] (filling in that snapshot's relation /
 //! document versions), fetches the tries from the shared registry —
-//! building only on cache misses — and runs the engine selected by the
-//! pinned [`xjoin_core::ExecOptions`] over the assembled plan (any
-//! [`xjoin_core::EngineKind`]: level-wise XJoin, streaming XJoin, LFTJ, or
-//! the generic join).
+//! building only on cache misses — and runs the executor selected by the
+//! pinned [`xjoin_core::ExecOptions`] over the assembled plan: level-wise
+//! XJoin for [`xjoin_core::EngineKind::XJoin`], the depth-first walk for
+//! the other kinds. A run with a deadline is the same run, told when to
+//! give up.
 //!
 //! Because the identity is name-free, every α-renaming of an atom — the
 //! three `edge` atoms of a triangle, or `edge(a,b)` in one statement and
@@ -31,16 +32,10 @@ use relational::{Attr, JoinPlan, RelError, Relation, Trie};
 use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
-    collect_atoms, compute_order, execute_with_plan, stream_with_plan, validate_output, CoreError,
-    ExecOptions, MultiModelQuery, QueryOutput, RelAtom, Rows, Term,
+    collect_atoms, compute_order, execute_with_plan_until, stream_with_plan, validate_output,
+    CoreError, ExecOptions, MultiModelQuery, QueryOutput, RelAtom, Rows, Term,
 };
 use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
-
-/// How many streamed rows a deadline-aware drain yields between deadline
-/// checks. Small enough that even a worst-case enumeration overruns its
-/// deadline by only a batch of cheap trie steps; large enough that the
-/// `Instant::now` syscall never shows up in probe profiles.
-const DEADLINE_CHECK_EVERY: usize = 256;
 
 /// Where an atom's trie content comes from — which version counter
 /// invalidates it, and how to rebuild just this atom's trie on a cache miss.
@@ -433,18 +428,57 @@ impl PreparedQuery {
     /// build bill on a cold one — so serving benchmarks can split cold
     /// latency into build vs probe.
     pub fn execute(&self, snapshot: &Snapshot) -> Result<QueryOutput> {
+        self.run(snapshot, None, Instant::now())
+    }
+
+    /// Executes the prepared query like [`PreparedQuery::execute`], but
+    /// gives up with [`StoreError::DeadlineExceeded`] once `deadline`
+    /// passes: the deadline is checked after plan assembly (trie builds can
+    /// be slow) and then every 256 steps of the pinned engine — walk tuples
+    /// on the depth-first kinds, proposed candidates on level-wise XJoin
+    /// (see [`xjoin_core::execute_with_plan_until`]) — so a runaway query
+    /// stops burning its worker shortly after its budgeted time, not only
+    /// when the caller stops waiting.
+    ///
+    /// Within its deadline the output equals [`PreparedQuery::execute`]'s,
+    /// statistics included: the pinned engine runs either way. `enqueued`
+    /// is when the job entered the system — it stamps the error's `waited`
+    /// field so callers see total queue + run time.
+    pub fn execute_with_deadline(
+        &self,
+        snapshot: &Snapshot,
+        deadline: Instant,
+        enqueued: Instant,
+    ) -> Result<QueryOutput> {
+        self.run(snapshot, Some(deadline), enqueued)
+    }
+
+    /// The one way a prepared query runs: assemble the plan from the cache,
+    /// then run the pinned engine on it until done or until `deadline`.
+    pub(crate) fn run(
+        &self,
+        snapshot: &Snapshot,
+        deadline: Option<Instant>,
+        enqueued: Instant,
+    ) -> Result<QueryOutput> {
         let start = Instant::now();
         let (plan, atom_sizes, cost) = self.plan_for(snapshot)?;
         let ctx = snapshot.ctx();
-        let mut out = execute_with_plan(
+        let mut out = execute_with_plan_until(
             &ctx,
             &self.query,
             &self.options,
             &plan,
             atom_sizes,
             self.first_path_atom,
+            deadline,
         )
-        .map_err(StoreError::from)?;
+        .map_err(|e| match e {
+            CoreError::DeadlineExceeded => {
+                StoreError::deadline_exceeded(self.label(), enqueued.elapsed())
+            }
+            e => StoreError::from(e),
+        })?;
         // Restamp elapsed to cover plan assembly too, so `build_elapsed`
         // stays a subset of `elapsed` (same convention as the fresh-plan
         // engines) and `elapsed - build_elapsed` is a valid probe time.
@@ -456,79 +490,15 @@ impl PreparedQuery {
         Ok(out)
     }
 
-    /// Executes the prepared query like [`PreparedQuery::execute`], but
-    /// gives up with [`StoreError::DeadlineExceeded`] once `deadline`
-    /// passes: the deadline is checked after plan assembly (trie builds can
-    /// be slow) and every `DEADLINE_CHECK_EVERY` (256) rows of a streaming
-    /// drain, so a runaway query stops burning its worker shortly after its
-    /// budgeted time — not only when the caller stops waiting.
-    ///
-    /// The result *set* equals [`PreparedQuery::execute`] with the same
-    /// options (the drain is the depth-first streaming walk, which yields
-    /// the same tuples whatever engine kind is pinned); the per-stage
-    /// Lemma 3.5 series is not recorded, exactly as for the streaming
-    /// engine. `enqueued` is when the job entered the system — it stamps
-    /// the error's `waited` field so callers see total queue + run time.
-    pub fn execute_with_deadline(
-        &self,
-        snapshot: &Snapshot,
-        deadline: Instant,
-        enqueued: Instant,
-    ) -> Result<QueryOutput> {
-        let start = Instant::now();
-        let (plan, atom_sizes, cost) = self.plan_for(snapshot)?;
-        if Instant::now() >= deadline {
-            return Err(StoreError::deadline_exceeded(
-                self.label(),
-                enqueued.elapsed(),
-            ));
-        }
-        let bitset_levels = plan.tries().iter().map(|t| t.bitset_level_count()).sum();
-        let delta_runs = plan.layers().iter().map(Vec::len).sum();
-        let ctx = snapshot.ctx();
-        let mut rows =
-            stream_with_plan(&ctx, &self.query, plan, &self.options).map_err(StoreError::from)?;
-        let mut rel = Relation::new(rows.schema().clone());
-        let mut since_check = 0usize;
-        for row in rows.by_ref() {
-            rel.push(&row)?;
-            since_check += 1;
-            if since_check >= DEADLINE_CHECK_EVERY {
-                since_check = 0;
-                if Instant::now() >= deadline {
-                    return Err(StoreError::deadline_exceeded(
-                        self.label(),
-                        enqueued.elapsed(),
-                    ));
-                }
-            }
-        }
-        let mut stats = relational::JoinStats {
-            output_rows: rel.len(),
-            ..Default::default()
-        };
-        stats.elapsed = start.elapsed();
-        stats.build_elapsed = cost.elapsed;
-        stats.tries_built = cost.tries_built;
-        stats.bitset_levels = bitset_levels;
-        stats.delta_runs = delta_runs;
-        Ok(QueryOutput {
-            results: rel,
-            stats,
-            order: self.order.clone(),
-            atom_sizes,
-        })
-    }
-
     /// Streams the prepared query's results as a pull-based
     /// [`Rows`] iterator against `snapshot`, reusing the same cached tries
     /// as [`PreparedQuery::execute`]. Tuples arrive in lexicographic order
     /// of [`PreparedQuery::order`]; the pinned `limit` (if any) is pushed
     /// into the trie walk.
     ///
-    /// This is always the depth-first streaming walk (with per-tuple twig
-    /// validation), regardless of which engine kind is pinned —
-    /// the pinned kind and its XJoin-only flags govern
+    /// Every engine kind streams through the depth-first walk (with
+    /// per-tuple twig validation), as [`xjoin_core::stream()`] does — the
+    /// pinned kind and its XJoin-only flags govern
     /// [`PreparedQuery::execute`]; the result *set* is identical either
     /// way.
     pub fn rows<'s>(&'s self, snapshot: &'s Snapshot) -> Result<Rows<'s>> {
@@ -735,58 +705,68 @@ mod tests {
         use std::time::Duration;
         let store = bookstore_store();
         let snap = store.snapshot();
-        let prepared =
-            PreparedQuery::prepare(&snap, &bookstore_query(), ExecOptions::default()).unwrap();
-        let enqueued = Instant::now();
-        // An already-expired deadline fails before any row is drained.
-        assert!(matches!(
-            prepared.execute_with_deadline(&snap, enqueued, enqueued),
-            Err(StoreError::DeadlineExceeded { .. })
-        ));
-        // A generous deadline yields exactly execute()'s result set.
-        let direct = prepared.execute(&snap).unwrap();
-        let out = prepared
-            .execute_with_deadline(
-                &snap,
-                Instant::now() + Duration::from_secs(60),
-                Instant::now(),
-            )
-            .unwrap();
-        assert!(out.results.set_eq(&direct.results));
-        assert_eq!(out.order, direct.order);
-        assert_eq!(out.atom_sizes, direct.atom_sizes);
+        for kind in EngineKind::all() {
+            let prepared =
+                PreparedQuery::prepare(&snap, &bookstore_query(), ExecOptions::for_engine(kind))
+                    .unwrap();
+            let enqueued = Instant::now();
+            // An already-expired deadline fails before any row is produced.
+            assert!(
+                matches!(
+                    prepared.execute_with_deadline(&snap, enqueued, enqueued),
+                    Err(StoreError::DeadlineExceeded { .. })
+                ),
+                "{kind}"
+            );
+            // A generous deadline runs the pinned engine, no other: the
+            // same rows, and the same stage series and walk counters.
+            let direct = prepared.execute(&snap).unwrap();
+            let out = prepared
+                .execute_with_deadline(
+                    &snap,
+                    Instant::now() + Duration::from_secs(60),
+                    Instant::now(),
+                )
+                .unwrap();
+            assert!(out.results.set_eq(&direct.results), "{kind}");
+            assert_eq!(out.order, direct.order, "{kind}");
+            assert_eq!(out.atom_sizes, direct.atom_sizes, "{kind}");
+            assert_eq!(out.stats.stages, direct.stats.stages, "{kind}");
+            assert_eq!(out.stats.reorders, direct.stats.reorders, "{kind}");
+            if kind == EngineKind::XJoin {
+                assert!(!out.stats.stages.is_empty(), "level-wise stages recorded");
+            }
+        }
     }
 
-    #[test]
-    fn deadline_interrupts_a_large_drain() {
-        use std::time::Duration;
-        // R(g,x) ⋈ S(g,y) with one shared group: a million-row output whose
-        // drain cannot finish inside a 1 ms budget, so the per-batch checks
-        // must stop it mid-stream.
+    /// A store holding `R(g,x)` and `S(g,y)` with `n` rows each, all in the
+    /// one group `g = 0`: joined on `g`, an `n²`-tuple walk.
+    fn one_group_store(n: i64) -> VersionedStore {
         let mut db = Database::new();
-        let rows = |attr_rows: i64| -> Vec<Vec<Value>> {
-            (0..attr_rows)
-                .map(|i| vec![Value::Int(0), Value::Int(i)])
-                .collect()
+        let rows = |n: i64| -> Vec<Vec<Value>> {
+            (0..n).map(|i| vec![Value::Int(0), Value::Int(i)]).collect()
         };
-        db.load("R", Schema::of(&["g", "x"]), rows(1000)).unwrap();
-        db.load("S", Schema::of(&["g", "y"]), rows(1000)).unwrap();
+        db.load("R", Schema::of(&["g", "x"]), rows(n)).unwrap();
+        db.load("S", Schema::of(&["g", "y"]), rows(n)).unwrap();
         let mut dict = db.dict().clone();
         let mut b = XmlDocument::builder();
         b.begin("root");
         b.end();
         let doc = b.build(&mut dict);
         *db.dict_mut() = dict;
-        let store = VersionedStore::new(db, doc);
+        VersionedStore::new(db, doc)
+    }
+
+    /// Runs `q` on every engine kind under a 1 ms deadline, over a trie
+    /// cache warmed by a limit-1 sibling (same atoms, same order, hence the
+    /// same trie keys) so the budget is spent inside the run, not the
+    /// build. Every kind must stop with `DeadlineExceeded`.
+    fn assert_every_kind_stops_at_the_deadline(store: &VersionedStore, q: &MultiModelQuery) {
+        use std::time::Duration;
         let snap = store.snapshot();
-        let q = MultiModelQuery::new(&["R", "S"], &[]).unwrap();
-        let prepared = PreparedQuery::prepare(&snap, &q, ExecOptions::default()).unwrap();
-        // Warm the trie cache with a limit-1 sibling (same atoms, same
-        // order, hence the same trie keys) so the deadlined run spends its
-        // whole budget inside the drain, not the build.
         let warm = PreparedQuery::prepare(
             &snap,
-            &q,
+            q,
             ExecOptions {
                 limit: Some(1),
                 ..Default::default()
@@ -794,16 +774,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(warm.execute(&snap).unwrap().results.len(), 1);
-        let start = Instant::now();
-        match prepared
-            .execute_with_deadline(&snap, start + Duration::from_millis(1), start)
-            .unwrap_err()
-        {
-            StoreError::DeadlineExceeded { waited, .. } => {
-                assert!(waited >= Duration::from_millis(1))
+        for kind in EngineKind::all() {
+            let prepared = PreparedQuery::prepare(&snap, q, ExecOptions::for_engine(kind)).unwrap();
+            let start = Instant::now();
+            match prepared.execute_with_deadline(&snap, start + Duration::from_millis(1), start) {
+                Err(StoreError::DeadlineExceeded { waited, .. }) => {
+                    assert!(waited >= Duration::from_millis(1), "{kind}")
+                }
+                Err(other) => panic!("{kind}: expected DeadlineExceeded, got {other}"),
+                Ok(out) => panic!(
+                    "{kind}: expected DeadlineExceeded, got {} rows",
+                    out.results.len()
+                ),
             }
-            other => panic!("expected DeadlineExceeded, got {other}"),
         }
+    }
+
+    #[test]
+    fn deadline_interrupts_a_large_drain() {
+        // A million-row output that cannot be produced inside a 1 ms budget,
+        // so the checks inside the walk or the expansion must stop it.
+        let q = MultiModelQuery::new(&["R", "S"], &[]).unwrap();
+        assert_every_kind_stops_at_the_deadline(&one_group_store(1000), &q);
+    }
+
+    #[test]
+    fn deadline_counts_walk_steps_not_emitted_rows() {
+        // Q(g): a 4M-tuple walk that projects onto a single distinct row.
+        // Every tuple after the first is a duplicate the projection drops,
+        // and those steps must count toward the deadline too.
+        let q = MultiModelQuery::new(&["R", "S"], &[])
+            .unwrap()
+            .with_output(&["g"]);
+        assert_every_kind_stops_at_the_deadline(&one_group_store(2000), &q);
     }
 
     #[test]

@@ -52,8 +52,8 @@ struct Job {
     label: String,
     enqueued: Instant,
     /// Absolute deadline, if any: checked at dequeue (a job whose deadline
-    /// passed while queued is failed without executing) and between row
-    /// batches during execution (see [`PreparedQuery::execute_with_deadline`]).
+    /// passed while queued is failed without executing) and every 256 steps
+    /// of the run (see [`PreparedQuery::execute_with_deadline`]).
     deadline: Option<Instant>,
 }
 
@@ -94,7 +94,7 @@ impl Ticket {
     /// job itself is *not* cancelled by an expired wait — a worker may still
     /// be executing it (and will drop the reply unread); jobs submitted via
     /// [`QueryService::submit_with_deadline`] additionally stop themselves
-    /// at dequeue or between row batches once their deadline passes.
+    /// at dequeue or mid-run once their deadline passes.
     pub fn wait_timeout(self, timeout: std::time::Duration) -> Result<QueryOutput> {
         use std::sync::mpsc::RecvTimeoutError;
         match self.rx.recv_timeout(timeout) {
@@ -160,9 +160,11 @@ impl QueryService {
     /// A deadline is enforced inside the service, not just at the ticket: a
     /// worker picking up a job whose deadline already passed fails it with
     /// [`StoreError::DeadlineExceeded`] without executing anything, and a
-    /// live execution re-checks the deadline between row batches (see
+    /// live execution runs the pinned engine with the deadline, which it
+    /// re-reads every 256 walk tuples or proposed candidates (see
     /// [`PreparedQuery::execute_with_deadline`]), so a runaway query stops
-    /// burning its worker shortly after its deadline expires.
+    /// burning its worker shortly after its deadline expires. Within its
+    /// deadline a job returns what [`PreparedQuery::execute`] returns.
     pub fn submit_with_deadline(
         &self,
         prepared: Arc<PreparedQuery>,
@@ -236,12 +238,8 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
                 let start = Instant::now();
                 let mut span = xjoin_obs::span("execute-job");
                 span.set_attr(|| job.label.clone());
-                let out = catch_unwind(AssertUnwindSafe(|| match job.deadline {
-                    Some(deadline) => {
-                        job.prepared
-                            .execute_with_deadline(&job.snapshot, deadline, job.enqueued)
-                    }
-                    None => job.prepared.execute(&job.snapshot),
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    job.prepared.run(&job.snapshot, job.deadline, job.enqueued)
                 }));
                 drop(span);
                 metrics

@@ -1,7 +1,7 @@
 //! Every engine over a layered plan — an atom carrying a delta run on top of
 //! its base trie — answers exactly what it answers over the compacted solid
 //! plan, with the same per-stage intermediate series: the level-wise XJoin
-//! and generic join read delta runs the way the LFTJ walk does.
+//! reads delta runs the way the LFTJ walk does.
 
 use fixtures::{fig3_query, fig3_tight};
 use relational::{JoinPlan, Relation, Trie};

@@ -149,8 +149,50 @@ fn adaptive_matches_static_for_every_plan_based_engine() {
     check(&skewed.db, &skewed.doc, &branch_skew_query(), "branch skew");
 }
 
+/// The depth-first kinds run one executor, so they report the walk's
+/// adaptive-order counters alike — through `execute`, and through a
+/// prepared statement run with or without a deadline.
+#[test]
+fn depth_first_kinds_report_the_walk_counters() {
+    use std::time::{Duration, Instant};
+    use xjoin_store::{PreparedQuery, VersionedStore};
+    let inst = branch_skew_instance(48, 8);
+    let query = branch_skew_query();
+    let opts = |engine| ExecOptions {
+        engine,
+        order: OrderStrategy::Adaptive {
+            ladder: Ladder::Refined,
+        },
+        ..Default::default()
+    };
+    let index = inst.index();
+    let ctx = DataContext::new(&inst.db, &inst.doc, &index);
+    let counters = |out: &xjoin_core::QueryOutput| (out.stats.reorders, out.stats.estimate_probes);
+    let want = counters(&execute(&ctx, &query, &opts(EngineKind::Lftj)).unwrap());
+    assert!(want.0 > 0 && want.1 > 0, "{want:?}");
+
+    let store = VersionedStore::new(inst.db.clone(), inst.doc.clone());
+    let snap = store.snapshot();
+    for kind in [EngineKind::XJoinStream, EngineKind::Lftj] {
+        let direct = execute(&ctx, &query, &opts(kind)).unwrap();
+        assert_eq!(counters(&direct), want, "{kind} execute");
+        assert!(direct.stats.stages.is_empty(), "{kind} records no stage");
+        let prepared = PreparedQuery::prepare(&snap, &query, opts(kind)).unwrap();
+        assert_eq!(
+            counters(&prepared.execute(&snap).unwrap()),
+            want,
+            "{kind} prepared"
+        );
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let out = prepared
+            .execute_with_deadline(&snap, deadline, Instant::now())
+            .unwrap();
+        assert_eq!(counters(&out), want, "{kind} prepared with a deadline");
+    }
+}
+
 /// The `stream` entry point agrees with `execute` for every engine (same
-/// rows, same set semantics), streamed or buffered.
+/// rows, same set semantics); every kind streams through the walk.
 #[test]
 fn stream_agrees_with_execute_for_every_engine() {
     let (db, doc) = random_instance(42, 8, 24, 4);
@@ -181,7 +223,7 @@ fn limit_pushdown_visits_strictly_fewer_tuples() {
     let ctx = DataContext::new(&db, &doc, &index);
     let query = MultiModelQuery::new(&["S"], &["//r//x"]).unwrap();
 
-    for kind in [EngineKind::XJoinStream] {
+    for kind in EngineKind::all() {
         let mut full = stream(&ctx, &query, &ExecOptions::for_engine(kind)).unwrap();
         let total = full.by_ref().count();
         let full_visited = full.stats().visited;

@@ -205,7 +205,7 @@ fn row_budget_truncates_and_sets_the_flag() {
 #[test]
 fn expired_deadline_returns_a_structured_deadline_error() {
     // A 4-clique over a few thousand edges cannot finish in 1 ms; the
-    // deadline fires at dequeue, after plan assembly, or mid-drain — any of
+    // deadline fires at dequeue, after plan assembly, or mid-run — any of
     // which must surface as ErrorCode::Deadline, not a hang or a generic
     // failure.
     let (_store, handle) = graph_server(
@@ -332,10 +332,11 @@ fn malformed_and_truncated_frames_get_structured_errors() {
     handle.shutdown();
 }
 
-/// No frame can ask the server for threads: a version-1 `QUERY` carrying
-/// the retired parallelism tail set to `u32::MAX` threads, and a version-2
-/// `QUERY` setting the retired arrival-order flag bit, both get `Malformed`,
-/// and the server keeps serving fresh connections.
+/// No frame can ask the server for threads or a retired engine: a
+/// version-1 `QUERY` carrying the retired parallelism tail set to
+/// `u32::MAX` threads, a `QUERY` setting the retired arrival-order flag
+/// bit, and a `QUERY` naming the retired engine tag 3 (the generic join)
+/// all get `Malformed`, and the server keeps serving fresh connections.
 #[test]
 fn thread_requests_and_unknown_option_flags_are_malformed() {
     let (_store, handle) = bookstore_server(AdmissionPolicy::default());
@@ -353,12 +354,16 @@ fn thread_requests_and_unknown_option_flags_are_malformed() {
     v1_options.extend_from_slice(&u64::MAX.to_be_bytes());
     v1_options.push(1);
     v1_options.extend_from_slice(&u32::MAX.to_be_bytes());
-    // Version-2 options with flag bit 2 set.
+    // Current options with flag bit 2 set.
     let mut flagged = vec![0u8, 0, 0b100];
     flagged.extend_from_slice(&u64::MAX.to_be_bytes());
+    // Current options naming engine tag 3.
+    let mut generic = vec![3u8, 0, 0];
+    generic.extend_from_slice(&u64::MAX.to_be_bytes());
     for raw in [
         frame(1, op::QUERY, &query_payload(&v1_options)),
         frame(VERSION, op::QUERY, &query_payload(&flagged)),
+        frame(VERSION, op::QUERY, &query_payload(&generic)),
     ] {
         let mut client = Client::connect(handle.addr()).unwrap();
         match client.send_raw(&raw).unwrap() {

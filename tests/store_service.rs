@@ -242,12 +242,7 @@ fn writers_never_perturb_parallel_queries_on_pinned_snapshots() {
 /// same snapshot at every step.
 #[test]
 fn sustained_churn_delta_results_match_rebuilds_across_engines() {
-    let engines = [
-        EngineKind::Lftj,
-        EngineKind::XJoinStream,
-        EngineKind::XJoin,
-        EngineKind::Generic,
-    ];
+    let engines = [EngineKind::Lftj, EngineKind::XJoinStream, EngineKind::XJoin];
     for kind in engines {
         let inst = fig3_tight(3);
         let base_rows = inst.db.decode(inst.db.relation("R1").unwrap());
