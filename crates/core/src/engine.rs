@@ -26,11 +26,10 @@
 //! * `partial_validation` — runs the same label-driven structure check on
 //!   bound prefixes instead of only at the end.
 
-use crate::atoms::{collect_atoms, Atoms};
 use crate::error::CoreError;
 use crate::error::Result;
-use crate::exec::{tick, validate_output, QueryOutput};
-use crate::order::{compute_order, OrderStrategy};
+use crate::exec::{execute, tick, validate_output, EngineKind, ExecOptions, QueryOutput};
+use crate::order::OrderStrategy;
 use crate::query::{DataContext, MultiModelQuery};
 use crate::validate::TwigValidator;
 use relational::generic::levelwise_expand;
@@ -57,23 +56,25 @@ pub struct XJoinConfig {
 /// value pairs.
 type AdCheck = (usize, usize, HashSet<(ValueId, ValueId)>);
 
-/// Runs XJoin on a multi-model query: lowers the query to atoms, builds a
-/// plan (constructing fresh tries), and executes it. `stats.elapsed` covers
-/// the whole run — lowering, trie construction, and execution — matching
-/// what [`crate::baseline::baseline`] times.
+/// Runs XJoin on a multi-model query: [`crate::execute`] on
+/// [`EngineKind::XJoin`] with `cfg`'s order and filters and no limit. It
+/// lowers the query to atoms, builds a plan (constructing fresh tries), and
+/// executes it; `stats.elapsed` covers the whole run — lowering, trie
+/// construction, and execution — matching what [`crate::baseline::baseline`]
+/// times.
 pub fn xjoin(
     ctx: &DataContext<'_>,
     query: &MultiModelQuery,
     cfg: &XJoinConfig,
 ) -> Result<QueryOutput> {
-    let start = Instant::now();
-    let atoms = collect_atoms(ctx, query)?;
-    let order = compute_order(&atoms, &cfg.order)?;
-    let refs = atoms.rel_refs();
-    let plan = JoinPlan::new(&refs, &order)?;
-    let mut out = xjoin_with_plan(ctx, query, cfg, &plan, atoms.sizes(), atoms.first_path_atom)?;
-    out.stats.elapsed = start.elapsed();
-    Ok(out)
+    let opts = ExecOptions {
+        engine: EngineKind::XJoin,
+        order: cfg.order.clone(),
+        partial_validation: cfg.partial_validation,
+        ad_filter: cfg.ad_filter,
+        limit: None,
+    };
+    execute(ctx, query, &opts)
 }
 
 /// Builds the A-D edge filters for a query under `order`: per expansion
@@ -115,8 +116,8 @@ fn build_ad_checks(
 /// Executes XJoin over an already-assembled [`JoinPlan`] (whose tries may
 /// come from a shared cache — see the `xjoin-store` crate). The plan's order
 /// must cover the query's variables; `atom_sizes` / `first_path_atom`
-/// describe the plan's atoms as [`Atoms::sizes`] /
-/// [`Atoms::first_path_atom`] would. The output projection is checked
+/// describe the plan's atoms as [`crate::Atoms::sizes`] /
+/// [`crate::Atoms::first_path_atom`] would. The output projection is checked
 /// first, before any expansion work. `stats.elapsed` covers execution over
 /// the given plan only — trie construction is the caller's (typically a
 /// cache's) concern.
@@ -240,11 +241,9 @@ pub(crate) fn levelwise(
     })
 }
 
-/// Re-exported helper: lowers a query to its atom set without running the
-/// join (what [`crate::bounds`] prices and the Lemma 3.5 checks read).
-pub fn lower<'a>(ctx: &DataContext<'a>, query: &MultiModelQuery) -> Result<Atoms<'a>> {
-    collect_atoms(ctx, query)
-}
+/// Lowers a query to its atom set without running the join (what
+/// [`crate::bounds`] prices and the Lemma 3.5 checks read).
+pub use crate::atoms::collect_atoms as lower;
 
 #[cfg(test)]
 mod tests {

@@ -198,12 +198,12 @@ pub fn validate_output(query: &MultiModelQuery, vars: &[Attr]) -> Result<()> {
     Ok(())
 }
 
-/// Shared resolution front half: lower the query, fix the order, and
-/// validate the output projection — no tries are built.
-fn resolve<'a>(
+/// The front half every one-shot run and `EXPLAIN` share: lower the query
+/// and fix the order — no tries are built.
+pub(crate) fn resolve<'a>(
     ctx: &DataContext<'a>,
     query: &MultiModelQuery,
-    opts: &ExecOptions,
+    strategy: &OrderStrategy,
 ) -> Result<(Atoms<'a>, Vec<Attr>)> {
     let atoms = {
         let _span = xjoin_obs::span("resolve");
@@ -211,11 +211,10 @@ fn resolve<'a>(
     };
     let order = {
         let mut span = xjoin_obs::span("order");
-        let order = compute_order(&atoms, &opts.order)?;
+        let order = compute_order(&atoms, strategy)?;
         span.set_attr(|| order.iter().map(|a| a.name()).collect::<Vec<_>>().join(","));
         order
     };
-    validate_output(query, &order)?;
     Ok((atoms, order))
 }
 
@@ -260,7 +259,8 @@ pub fn execute(
     opts: &ExecOptions,
 ) -> Result<QueryOutput> {
     let start = Instant::now();
-    let (atoms, order) = resolve(ctx, query, opts)?;
+    let (atoms, order) = resolve(ctx, query, &opts.order)?;
+    validate_output(query, &order)?;
     let plan = fresh_plan(&atoms, &order, opts)?;
     let mut out = execute_with_plan(
         ctx,
@@ -287,7 +287,8 @@ pub fn stream<'a>(
     query: &'a MultiModelQuery,
     opts: &ExecOptions,
 ) -> Result<Rows<'a>> {
-    let (atoms, order) = resolve(ctx, query, opts)?;
+    let (atoms, order) = resolve(ctx, query, &opts.order)?;
+    validate_output(query, &order)?;
     let plan = fresh_plan(&atoms, &order, opts)?;
     stream_with_plan(ctx, query, plan, opts)
 }
@@ -510,7 +511,8 @@ impl Query {
     /// unknown relations, arity mismatches, unusable orders, and unknown
     /// output attributes all error **here**, before any trie is built.
     pub fn prepare(&self, ctx: &DataContext<'_>) -> Result<ExecPlan> {
-        let (atoms, order) = resolve(ctx, &self.query, &self.options)?;
+        let (atoms, order) = resolve(ctx, &self.query, &self.options.order)?;
+        validate_output(&self.query, &order)?;
         Ok(ExecPlan {
             engine: self.options.engine,
             order,

@@ -2,13 +2,20 @@
 //! variable order, the size bounds (full and per prefix) — everything the
 //! paper's Section 3 computes — plus the cold-start cost profile: what each
 //! atom's trie costs to build and which sort path the builder takes.
+//!
+//! [`explain`] and [`explain_analyze`] share one pipeline — lower, order,
+//! price, build every trie — and differ only in what they do with the
+//! tries: `explain` drops them, `explain_analyze` walks them with probe
+//! counters and puts the measured per-level actuals beside the bounds.
 
-use crate::atoms::collect_atoms;
-use crate::bounds::{mixed_hypergraph, prefix_bounds, query_bound};
+use crate::bounds::{prefix_bounds, query_bound};
 use crate::error::Result;
-use crate::order::{compute_order, OrderStrategy};
+use crate::exec::resolve;
+use crate::order::OrderStrategy;
 use crate::query::{DataContext, MultiModelQuery};
-use relational::{BuildStats, JoinPlan, Ladder, LevelProbeStats, LftjWalk, TrieBuilder};
+use relational::{
+    Attr, BuildStats, JoinPlan, Ladder, LevelProbeStats, LftjWalk, Trie, TrieBuilder,
+};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,23 +70,49 @@ pub fn explain(
     query: &MultiModelQuery,
     strategy: &OrderStrategy,
 ) -> Result<Explanation> {
-    let atoms = collect_atoms(ctx, query)?;
-    let order = compute_order(&atoms, strategy)?;
+    Ok(lower_and_build(ctx, query, strategy)?.0)
+}
+
+/// What [`explain`] reports and [`explain_analyze`] walks: lowers the
+/// query, fixes its order, prices it, and builds every atom's trie under
+/// the order with one [`TrieBuilder`], profiling each build. Returns the
+/// explanation, the order, the tries (aligned with the atoms), and the wall
+/// times of lowering (order and bounds included) and of the builds.
+#[allow(clippy::type_complexity)]
+fn lower_and_build(
+    ctx: &DataContext<'_>,
+    query: &MultiModelQuery,
+    strategy: &OrderStrategy,
+) -> Result<(Explanation, Vec<Attr>, Vec<Arc<Trie>>, [Duration; 2])> {
+    let resolve_start = Instant::now();
+    let (atoms, order) = resolve(ctx, query, strategy)?;
     let bound = query_bound(&atoms)?;
     let prefixes = prefix_bounds(&atoms, &order)?;
-    let (_h, _sizes) = mixed_hypergraph(&atoms);
+    let resolve_elapsed = resolve_start.elapsed();
+
+    let build_start = Instant::now();
     let mut builder = TrieBuilder::new();
     let mut trie_builds = Vec::with_capacity(atoms.rels.len());
+    let mut tries = Vec::with_capacity(atoms.rels.len());
     for (name, resolved) in atoms.names.iter().zip(&atoms.rels) {
+        let mut span = xjoin_obs::span("trie-build");
         let rel = resolved.rel();
         let restricted = rel.schema().restrict_order(&order)?;
         let trie = builder.build(rel, &restricted)?;
+        let stats = builder.last_stats().expect("just built").clone();
+        span.set_attr(|| {
+            let layouts: Vec<String> = stats.layouts.iter().map(|l| l.to_string()).collect();
+            format!("{name} path={} layouts=[{}]", stats.path, layouts.join(","))
+        });
         trie_builds.push(TrieBuildProfile {
             atom: name.clone(),
-            stats: builder.last_stats().expect("just built").clone(),
+            stats,
             bytes: trie.estimated_bytes(),
         });
+        tries.push(Arc::new(trie));
     }
+    let build_elapsed = build_start.elapsed();
+
     let mut ad_edges = Vec::new();
     for (twig, dec) in query.twigs.iter().zip(&atoms.decompositions) {
         for &(a, d) in &dec.ad_edges {
@@ -89,7 +122,7 @@ pub fn explain(
             ));
         }
     }
-    Ok(Explanation {
+    let explanation = Explanation {
         atoms: atoms
             .names
             .iter()
@@ -102,7 +135,8 @@ pub fn explain(
         ad_edges,
         trie_builds,
         dict_bytes: ctx.db.dict().estimated_bytes(),
-    })
+    };
+    Ok((explanation, order, tries, [resolve_elapsed, build_elapsed]))
 }
 
 impl Explanation {
@@ -251,43 +285,9 @@ pub fn explain_analyze(
 ) -> Result<AnalyzeReport> {
     let total_start = Instant::now();
     let _qspan = xjoin_obs::span("explain-analyze");
-
-    let resolve_start = Instant::now();
-    let atoms = {
-        let _span = xjoin_obs::span("resolve");
-        collect_atoms(ctx, query)?
-    };
-    let order = {
-        let _span = xjoin_obs::span("order");
-        compute_order(&atoms, strategy)?
-    };
-    let bound = query_bound(&atoms)?;
-    let prefixes = prefix_bounds(&atoms, &order)?;
-    let resolve_elapsed = resolve_start.elapsed();
-
-    let build_start = Instant::now();
-    let mut builder = TrieBuilder::new();
-    let mut trie_builds = Vec::with_capacity(atoms.rels.len());
-    let mut tries = Vec::with_capacity(atoms.rels.len());
-    for (name, resolved) in atoms.names.iter().zip(&atoms.rels) {
-        let mut span = xjoin_obs::span("trie-build");
-        let rel = resolved.rel();
-        let restricted = rel.schema().restrict_order(&order)?;
-        let trie = builder.build(rel, &restricted)?;
-        let stats = builder.last_stats().expect("just built").clone();
-        span.set_attr(|| {
-            let layouts: Vec<String> = stats.layouts.iter().map(|l| l.to_string()).collect();
-            format!("{name} path={} layouts=[{}]", stats.path, layouts.join(","))
-        });
-        trie_builds.push(TrieBuildProfile {
-            atom: name.clone(),
-            stats,
-            bytes: trie.estimated_bytes(),
-        });
-        tries.push(Arc::new(trie));
-    }
+    let (explanation, order, tries, [resolve_elapsed, build_elapsed]) =
+        lower_and_build(ctx, query, strategy)?;
     let plan = JoinPlan::from_shared(tries, &order)?.with_ladder(strategy.ladder());
-    let build_elapsed = build_start.elapsed();
 
     let probe_start = Instant::now();
     let mut walk = LftjWalk::new(plan).with_probe_counters();
@@ -328,7 +328,7 @@ pub fn explain_analyze(
 
     let levels = order
         .iter()
-        .zip(&prefixes)
+        .zip(&explanation.prefix_bounds)
         .zip(walk.probe_stats())
         .map(|((var, &b), probe)| LevelAnalysis {
             var: var.name().to_owned(),
@@ -338,29 +338,6 @@ pub fn explain_analyze(
         })
         .collect();
 
-    let mut ad_edges = Vec::new();
-    for (twig, dec) in query.twigs.iter().zip(&atoms.decompositions) {
-        for &(a, d) in &dec.ad_edges {
-            ad_edges.push((
-                twig.node(a).var.name().to_owned(),
-                twig.node(d).var.name().to_owned(),
-            ));
-        }
-    }
-    let explanation = Explanation {
-        atoms: atoms
-            .names
-            .iter()
-            .zip(&atoms.rels)
-            .map(|(n, r)| (n.clone(), r.rel().schema().to_string(), r.rel().len()))
-            .collect(),
-        order: order.iter().map(|a| a.name().to_owned()).collect(),
-        bound,
-        prefix_bounds: prefixes,
-        ad_edges,
-        trie_builds,
-        dict_bytes: ctx.db.dict().estimated_bytes(),
-    };
     Ok(AnalyzeReport {
         explanation,
         levels,

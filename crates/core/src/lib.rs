@@ -68,7 +68,7 @@ pub mod query;
 pub mod stream;
 pub mod validate;
 
-pub use atoms::{collect_atoms, AtomRel, Atoms};
+pub use atoms::{build_columns, collect_atoms, AtomRel, AtomSource, Atoms};
 pub use baseline::{baseline, BaselineConfig, RelAlg, XmlAlg};
 pub use bounds::{mixed_hypergraph, prefix_bounds, query_bound, query_exponent, query_log_bound};
 pub use engine::{lower, xjoin, xjoin_with_plan, XJoinConfig};
@@ -83,9 +83,7 @@ pub use explain::{
 };
 pub use mmql::{parse_query, parse_query_with_options};
 pub use order::{compute_order, OrderStrategy};
-pub use query::{
-    all_variables, variables_of, DataContext, MultiModelQuery, RelAtom, ResolvedAtom, Term,
-};
+pub use query::{all_variables, variables_of, DataContext, MultiModelQuery, RelAtom, Term};
 pub use relational::Ladder;
 pub use stream::{stream_with_plan, Rows, RowsStats};
 pub use validate::TwigValidator;

@@ -1,5 +1,6 @@
 //! Multi-model queries: relational atoms joined with XML twig patterns.
 
+use crate::atoms::AtomRel;
 use crate::error::{CoreError, Result};
 use relational::{Attr, Database, Relation};
 use xmldb::{TagIndex, TwigPattern, XmlDocument};
@@ -102,26 +103,6 @@ impl MultiModelQuery {
     }
 }
 
-/// A resolved relational atom: either a direct reference into the database
-/// or a renamed copy.
-#[derive(Debug)]
-pub enum ResolvedAtom<'a> {
-    /// The stored relation, untouched.
-    Plain(&'a Relation),
-    /// A copy with rebound variables.
-    Renamed(Relation),
-}
-
-impl ResolvedAtom<'_> {
-    /// The underlying relation.
-    pub fn rel(&self) -> &Relation {
-        match self {
-            ResolvedAtom::Plain(r) => r,
-            ResolvedAtom::Renamed(r) => r,
-        }
-    }
-}
-
 /// The data a query runs against: a relational database and one XML document
 /// (with its tag index), sharing the database's dictionary.
 #[derive(Debug, Clone, Copy)]
@@ -142,7 +123,7 @@ impl<'a> DataContext<'a> {
 
     /// Resolves the query's relational atoms, applying positional renames,
     /// constant selections, and intra-atom variable-equality filters.
-    pub fn resolve_atoms(&self, query: &MultiModelQuery) -> Result<Vec<ResolvedAtom<'a>>> {
+    pub fn resolve_atoms(&self, query: &MultiModelQuery) -> Result<Vec<AtomRel<'a>>> {
         query
             .relations
             .iter()
@@ -151,13 +132,13 @@ impl<'a> DataContext<'a> {
     }
 
     /// Resolves one relational atom (see [`DataContext::resolve_atoms`]).
-    pub fn resolve_atom(&self, atom: &RelAtom) -> Result<ResolvedAtom<'a>> {
+    pub fn resolve_atom(&self, atom: &RelAtom) -> Result<AtomRel<'a>> {
         let rel = self
             .db
             .relation(&atom.name)
             .map_err(|_| CoreError::UnknownRelation(atom.name.clone()))?;
         match &atom.terms {
-            None => Ok(ResolvedAtom::Plain(rel)),
+            None => Ok(AtomRel::Borrowed(rel)),
             Some(terms) => {
                 if terms.len() != rel.arity() {
                     return Err(CoreError::BadOrder(format!(
@@ -167,7 +148,7 @@ impl<'a> DataContext<'a> {
                         rel.arity()
                     )));
                 }
-                Ok(ResolvedAtom::Renamed(apply_terms(self.db, rel, terms)?))
+                Ok(AtomRel::Owned(apply_terms(self.db, rel, terms)?))
             }
         }
     }
@@ -236,7 +217,7 @@ fn apply_terms(db: &Database, rel: &Relation, terms: &[Term]) -> Result<Relation
 /// by twig variables (in twig-node order), without duplicates — the
 /// resolution-free body of [`all_variables`], for callers that already hold
 /// the resolved atoms.
-pub fn variables_of(resolved: &[ResolvedAtom<'_>], twigs: &[TwigPattern]) -> Vec<Attr> {
+pub fn variables_of(resolved: &[AtomRel<'_>], twigs: &[TwigPattern]) -> Vec<Attr> {
     let mut vars: Vec<Attr> = Vec::new();
     for atom in resolved {
         for a in atom.rel().schema().attrs() {

@@ -19,7 +19,7 @@
 use crate::error::{RelError, Result};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::trie::{LevelSummary, Trie};
+use crate::trie::Trie;
 use std::sync::Arc;
 
 /// An immutable base trie overlaid with zero or more sorted delta runs.
@@ -105,11 +105,6 @@ impl DeltaTrie {
         self.runs.iter().map(|r| r.num_tuples()).sum()
     }
 
-    /// Upper bound on the distinct tuples of the merged view.
-    pub fn tuple_upper_bound(&self) -> usize {
-        self.base_tuples() + self.delta_tuples()
-    }
-
     /// `delta_tuples / base_tuples` — the compaction trigger signal. An
     /// empty base with non-empty deltas reports `f64::INFINITY`.
     pub fn delta_ratio(&self) -> f64 {
@@ -135,23 +130,6 @@ impl DeltaTrie {
     /// shared and accounted for wherever it is cached).
     pub fn delta_bytes(&self) -> usize {
         self.runs.iter().map(|r| r.estimated_bytes()).sum()
-    }
-
-    /// Upper-bound cardinality summary of `level` for the merged view: the
-    /// sum of the layers' (individually exact) [`LevelSummary`]s. Values
-    /// shared between layers are double-counted, so the bound tightens back
-    /// to exact when [`DeltaTrie::compact`] rebuilds a solid trie — whose
-    /// builder re-attaches exact summaries. This is the number the adaptive
-    /// walk effectively scores a layered atom by (it sums spans across live
-    /// runs), kept honest here for estimation and reporting.
-    pub fn level_summary_bound(&self, level: usize) -> LevelSummary {
-        let mut total = self.base.level_summary(level);
-        for run in &self.runs {
-            let s = run.level_summary(level);
-            total.nodes += s.nodes;
-            total.distinct += s.distinct;
-        }
-        total
     }
 
     /// Merges base and runs into a fresh solid [`Trie`].
@@ -202,7 +180,7 @@ impl DeltaTrie {
         let base_rel = self.base.to_relation();
         let base = base_rel.raw_data();
         let n = base_rel.len();
-        let mut merged = Relation::with_capacity(schema, self.tuple_upper_bound());
+        let mut merged = Relation::with_capacity(schema, self.base_tuples() + self.delta_tuples());
         let mut lo = 0usize; // first base row not yet copied out
         for row in delta {
             let mut left = lo;
@@ -327,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_bound_covers_view_and_compaction_restores_exactness() {
+    fn compaction_restores_exact_summaries() {
         let base = trie(&["a", "b"], &[&[1, 1], &[2, 2], &[3, 3]]);
         let d = DeltaTrie::new(base)
             .with_run(trie(&["a", "b"], &[&[2, 2], &[0, 9]]))
@@ -336,17 +314,10 @@ mod tests {
             .unwrap();
         let solid = d.compact().unwrap();
         for level in 0..d.arity() {
-            let bound = d.level_summary_bound(level);
-            let exact = solid.level_summary(level);
-            assert!(bound.nodes >= exact.nodes, "nodes bound holds at {level}");
-            assert!(
-                bound.distinct >= exact.distinct,
-                "distinct bound holds at {level}"
-            );
             // Compaction ends in an ordinary build, whose summaries must
             // agree with a from-scratch build of the merged relation.
             let rebuilt = Trie::from_relation(&solid.to_relation());
-            assert_eq!(exact, rebuilt.level_summary(level));
+            assert_eq!(solid.level_summary(level), rebuilt.level_summary(level));
         }
     }
 

@@ -119,20 +119,14 @@ impl JoinPlan {
         let mut tries = Vec::with_capacity(relations.len());
         for rel in relations {
             let restricted = rel.schema().restrict_order(order)?;
-            tries.push(Trie::build(rel, &restricted)?);
+            tries.push(Arc::new(Trie::build(rel, &restricted)?));
         }
         let build_elapsed = build_start.elapsed();
         let tries_built = tries.len();
-        let mut plan = Self::from_tries(tries, order)?;
+        let mut plan = Self::from_shared(tries, order)?;
         plan.build_elapsed = build_elapsed;
         plan.tries_built = tries_built;
         Ok(plan)
-    }
-
-    /// Builds a plan from pre-leveled owned tries, validating that every
-    /// trie's attribute order is a subsequence of `order`.
-    pub fn from_tries(tries: Vec<Trie>, order: &[Attr]) -> Result<JoinPlan> {
-        Self::from_shared(tries.into_iter().map(Arc::new).collect(), order)
     }
 
     /// Builds a plan from shared (possibly cached) tries, validating that
@@ -374,11 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn from_tries_rejects_misleveled_trie() {
+    fn from_shared_rejects_misleveled_trie() {
         let r = rel(&["a", "b"], &[&[1, 2]]);
-        let t = Trie::build(&r, &attrs(&["b", "a"])).unwrap();
+        let t = Arc::new(Trie::build(&r, &attrs(&["b", "a"])).unwrap());
         // Global order (a, b) conflicts with trie order (b, a).
-        assert!(JoinPlan::from_tries(vec![t], &attrs(&["a", "b"])).is_err());
+        assert!(JoinPlan::from_shared(vec![t], &attrs(&["a", "b"])).is_err());
     }
 
     #[test]

@@ -358,27 +358,10 @@ impl TrieRegistry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Peeks for a cached **solid** trie under `key`'s view names, counting
-    /// a hit (and refreshing recency) when found. A resident layered overlay
-    /// refreshes recency but reports `None` — callers that can consume
-    /// overlays use [`TrieRegistry::lookup_cached`]. A miss is *not* counted
-    /// — only [`TrieRegistry::get_or_build`] records misses, so
-    /// peek-then-build call sites count each request once.
-    pub fn lookup(&self, key: &TrieKey) -> Option<Arc<Trie>> {
-        let mut g = self.lock();
-        match g.touch(key) {
-            Some(CachedTrie::Solid(t)) => {
-                g.hits += 1;
-                xjoin_obs::instant("trie-cache-hit");
-                Some(t)
-            }
-            _ => None,
-        }
-    }
-
     /// Peeks for a cached entry of either kind under `key`'s view names,
-    /// counting a hit (and refreshing recency) when found. Misses are not
-    /// counted, exactly as for [`TrieRegistry::lookup`].
+    /// counting a hit (and refreshing recency) when found. A miss is *not*
+    /// counted — only [`TrieRegistry::get_or_build`] records misses, so
+    /// peek-then-build call sites count each request once.
     pub fn lookup_cached(&self, key: &TrieKey) -> Option<CachedTrie> {
         let mut g = self.lock();
         let hit = g.touch(key)?;
@@ -393,11 +376,11 @@ impl TrieRegistry {
     /// concurrent misses on the same key may build twice; the first insert
     /// wins and the duplicate is dropped. A resident layered overlay counts
     /// as a miss here (the caller needs a solid trie) and is replaced by the
-    /// built result.
+    /// built result; a failed build caches nothing.
     pub fn get_or_build(
         &self,
         key: &TrieKey,
-        build: impl FnOnce() -> relational::Result<Trie>,
+        build: impl FnOnce() -> Result<Trie, StoreError>,
     ) -> Result<Arc<Trie>, StoreError> {
         {
             let mut g = self.lock();
@@ -608,9 +591,14 @@ mod tests {
         r
     }
 
-    fn build(rows: u32) -> relational::Result<Trie> {
+    fn build(rows: u32) -> Result<Trie, StoreError> {
         let r = sample_rel(rows);
         Ok(Trie::from_relation(&r))
+    }
+
+    /// The resident solid trie under `key`, counting a hit.
+    fn solid(reg: &TrieRegistry, key: &TrieKey) -> Option<Arc<Trie>> {
+        reg.lookup_cached(key)?.as_solid().cloned()
     }
 
     #[test]
@@ -647,7 +635,7 @@ mod tests {
         assert_eq!(renamed, key("rel:R@0,1", 1));
         let t = reg.get_or_build(&renamed, || panic!("rebuilt")).unwrap();
         assert_eq!(t.attrs(), &renamed.order[..]);
-        let first = reg.lookup(&key("rel:R@0,1", 1)).unwrap();
+        let first = solid(&reg, &key("rel:R@0,1", 1)).unwrap();
         assert_eq!(first.attrs(), &key("rel:R@0,1", 1).order[..]);
         assert_eq!(first.values(0, 0..4), t.values(0, 0..4));
         let after = reg.stats();
@@ -658,10 +646,10 @@ mod tests {
     #[test]
     fn lookup_counts_hits_but_not_misses() {
         let reg = TrieRegistry::new();
-        assert!(reg.lookup(&key("R", 1)).is_none());
+        assert!(reg.lookup_cached(&key("R", 1)).is_none());
         assert_eq!(reg.stats().misses, 0);
         reg.get_or_build(&key("R", 1), || build(4)).unwrap();
-        assert!(reg.lookup(&key("R", 1)).is_some());
+        assert!(solid(&reg, &key("R", 1)).is_some());
         let s = reg.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -674,7 +662,7 @@ mod tests {
         reg.get_or_build(&key("R1", 1), || build(4)).unwrap();
         reg.get_or_build(&key("R2", 1), || build(4)).unwrap();
         // Touch R1 so R2 is the LRU victim.
-        reg.lookup(&key("R1", 1)).unwrap();
+        reg.lookup_cached(&key("R1", 1)).unwrap();
         reg.get_or_build(&key("R3", 1), || build(4)).unwrap();
         let s = reg.stats();
         assert_eq!(s.evictions, 1);
@@ -772,7 +760,10 @@ mod tests {
         assert_eq!((s.builds, s.misses, s.hits), (2, 2, 1));
         assert!(s.build_time > Duration::ZERO);
         // A failed build is still charged: the cost was paid.
-        let _ = reg.get_or_build(&key("T", 1), || Err(relational::RelError::EmptyQuery));
+        let _ = reg.get_or_build(
+            &key("T", 1),
+            || Err(relational::RelError::EmptyQuery.into()),
+        );
         let s2 = reg.stats();
         assert_eq!(s2.builds, 3);
         assert!(s2.build_time >= s.build_time);
@@ -781,7 +772,10 @@ mod tests {
     #[test]
     fn build_errors_propagate_and_cache_nothing() {
         let reg = TrieRegistry::new();
-        let err = reg.get_or_build(&key("R", 1), || Err(relational::RelError::EmptyQuery));
+        let err = reg.get_or_build(
+            &key("R", 1),
+            || Err(relational::RelError::EmptyQuery.into()),
+        );
         assert!(err.is_err());
         assert_eq!(reg.stats().entries, 0);
         // A later successful build still works.
@@ -796,14 +790,12 @@ mod tests {
     }
 
     #[test]
-    fn layered_entries_resolve_through_lookup_cached_only() {
+    fn layered_entries_resolve_under_the_view_names() {
         let reg = TrieRegistry::new();
         let k = key("rel:R", 2);
         assert!(reg.insert_layered(&k, layered(8, 2), 1));
-        // Solid-only callers see nothing...
-        assert!(reg.lookup(&k).is_none());
-        // ...overlay-aware callers get the layered entry, every layer under
-        // their own view names.
+        // A lookup gets the layered entry, every layer under its own view
+        // names.
         let mut renamed = k.clone();
         renamed.order = vec!["x".into(), "y".into()];
         match reg.lookup_cached(&renamed) {
@@ -827,7 +819,7 @@ mod tests {
         let t = reg.get_or_build(&k, || build(10)).unwrap();
         assert_eq!(t.num_tuples(), 10);
         assert_eq!(reg.stats().entries, 1);
-        assert!(reg.lookup(&k).is_some());
+        assert!(solid(&reg, &k).is_some());
     }
 
     #[test]
@@ -836,13 +828,13 @@ mod tests {
         let k = key("rel:R", 2);
         let d = layered(8, 2);
         reg.insert_layered(&k, Arc::clone(&d), 1);
-        let solid = Arc::new(d.compact().unwrap());
-        reg.replace_with_solid(&k, Arc::clone(&solid));
-        let got = reg.lookup(&k).expect("now solid");
-        assert!(Arc::ptr_eq(&got, &solid));
+        let compacted = Arc::new(d.compact().unwrap());
+        reg.replace_with_solid(&k, Arc::clone(&compacted));
+        let got = solid(&reg, &k).expect("now solid");
+        assert!(Arc::ptr_eq(&got, &compacted));
         let s = reg.stats();
         assert_eq!((s.compactions, s.entries), (1, 1));
-        assert_eq!(s.bytes_in_use, solid.estimated_bytes());
+        assert_eq!(s.bytes_in_use, compacted.estimated_bytes());
     }
 
     #[test]

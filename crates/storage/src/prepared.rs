@@ -5,10 +5,12 @@
 //! atom a *trie key template*: the atom's name-free content identity, the
 //! column permutation its trie levels follow, and the restriction of the
 //! global order to its attributes (the names the plan sees the trie
-//! under). Execution against any later snapshot then resolves each
+//! under), keyed by the [`xjoin_core::AtomSource`] [`collect_atoms`]
+//! records. Execution against any later snapshot then resolves each
 //! template to a concrete [`TrieKey`] (filling in that snapshot's relation /
 //! document versions), fetches the tries from the shared registry —
-//! building only on cache misses — and runs the executor selected by the
+//! building a miss with [`xjoin_core::AtomSource::build_trie`] or overlaying
+//! appends on a cached base — and runs the executor selected by the
 //! pinned [`xjoin_core::ExecOptions`] over the assembled plan: level-wise
 //! XJoin for [`xjoin_core::EngineKind::XJoin`], the depth-first walk for
 //! the other kinds. A run with a deadline is the same run, told when to
@@ -28,36 +30,21 @@
 use crate::cache::TrieKey;
 use crate::error::{Result, StoreError};
 use crate::store::Snapshot;
-use relational::{Attr, JoinPlan, RelError, Relation, Trie};
+use relational::{Attr, JoinPlan, Trie};
 use std::sync::Arc;
 use std::time::Instant;
 use xjoin_core::{
-    collect_atoms, compute_order, execute_with_plan_until, stream_with_plan, validate_output,
-    CoreError, ExecOptions, MultiModelQuery, QueryOutput, RelAtom, Rows, Term,
+    build_columns, collect_atoms, compute_order, execute_with_plan_until, stream_with_plan,
+    validate_output, AtomSource, CoreError, ExecOptions, MultiModelQuery, QueryOutput, Rows, Term,
 };
-use xmldb::{decompose, path_fingerprint, path_relation, PathSpec};
-
-/// Where an atom's trie content comes from — which version counter
-/// invalidates it, and how to rebuild just this atom's trie on a cache miss.
-#[derive(Debug, Clone)]
-enum AtomSource {
-    /// A stored relation read as-is or under a pure renaming of its
-    /// columns, built straight from the stored relation; versioned by the
-    /// relation.
-    Relation(String),
-    /// A filtered copy of a stored relation (a constant or a repeated
-    /// variable among the atom's terms); versioned by the base relation.
-    Selection(String),
-    /// A twig path relation (`query.twigs[twig]` restricted to `path`);
-    /// versioned by the document.
-    TwigPath { twig: usize, path: PathSpec },
-}
+use xmldb::{path_fingerprint, Decomposition};
 
 /// One atom's pinned cache identity and trie level order.
 #[derive(Debug, Clone)]
 struct PreparedAtom {
     /// Display name (as reported in stats), from [`xjoin_core::Atoms::names`].
     display: String,
+    /// Where the content comes from, from [`xjoin_core::Atoms::sources`].
     source: AtomSource,
     /// The name-free [`TrieKey::source`]: content and column permutation.
     identity: String,
@@ -83,45 +70,43 @@ pub struct PreparedQuery {
     options: ExecOptions,
     order: Vec<Attr>,
     atoms: Vec<PreparedAtom>,
-    first_path_atom: usize,
+    /// The lowering's twig decompositions, which twig-path sources index.
+    decompositions: Vec<Decomposition>,
 }
 
-/// A relational atom's source and name-free content: `rel:{name}` when its
-/// terms are absent or distinct variables, else its terms with variables
-/// numbered by first occurrence (`atom:edge(?0,?0)`, `atom:edge(Int(5),?0)`).
-fn relation_content(atom: &RelAtom) -> (AtomSource, String) {
-    let mut vars: Vec<&Attr> = Vec::new();
-    let terms: Vec<String> = atom
-        .terms
-        .iter()
-        .flatten()
-        .map(|term| match term {
-            Term::Var(v) => {
-                let k = vars.iter().position(|w| *w == v).unwrap_or(vars.len());
-                vars.extend((k == vars.len()).then_some(v));
-                format!("?{k}")
-            }
-            Term::Const(c) => format!("{c:?}"),
-        })
-        .collect();
-    let name = atom.name.clone();
-    if vars.len() == terms.len() {
-        (AtomSource::Relation(name.clone()), format!("rel:{name}"))
-    } else {
-        let content = format!("atom:{name}({})", terms.join(","));
-        (AtomSource::Selection(name), content)
+/// The name-free content of the atom `source` describes: `rel:{name}` for a
+/// stored relation read as-is or renamed; for a selection, its terms with
+/// variables numbered by first occurrence (`atom:edge(?0,?0)`,
+/// `atom:edge(Int(5),?0)`); a twig path's tag chain (`path:/a/b`).
+fn content(
+    query: &MultiModelQuery,
+    decompositions: &[Decomposition],
+    source: AtomSource,
+) -> String {
+    match source {
+        AtomSource::Relation { atom } => format!("rel:{}", query.relations[atom].name),
+        AtomSource::Selection { atom } => {
+            let atom = &query.relations[atom];
+            let mut vars: Vec<&Attr> = Vec::new();
+            let terms: Vec<String> = atom
+                .terms
+                .iter()
+                .flatten()
+                .map(|term| match term {
+                    Term::Var(v) => {
+                        let k = vars.iter().position(|w| *w == v).unwrap_or(vars.len());
+                        vars.extend((k == vars.len()).then_some(v));
+                        format!("?{k}")
+                    }
+                    Term::Const(c) => format!("{c:?}"),
+                })
+                .collect();
+            format!("atom:{}({})", atom.name, terms.join(","))
+        }
+        AtomSource::TwigPath { twig, path } => {
+            path_fingerprint(&query.twigs[twig], &decompositions[twig].paths[path])
+        }
     }
-}
-
-/// Builds `rel`'s trie with level `d` on column `columns[d]`, under `rel`'s
-/// own column names.
-fn build_columns(rel: &Relation, columns: &[usize]) -> relational::Result<Trie> {
-    let attrs = rel.schema().attrs();
-    let order: Option<Vec<Attr>> = columns.iter().map(|&c| attrs.get(c).cloned()).collect();
-    let order = order.ok_or_else(|| {
-        RelError::InvalidOrder(format!("{} lacks a column of the atom", rel.schema()))
-    })?;
-    Trie::build(rel, &order)
 }
 
 impl PreparedQuery {
@@ -140,51 +125,19 @@ impl PreparedQuery {
         let order = compute_order(&atoms, &options.order)?;
         validate_output(query, &order)?;
 
-        // Reconstruct each atom's content source, mirroring the ordering of
-        // `collect_atoms`: relational atoms first, then every twig's paths.
-        let mut sources: Vec<(AtomSource, String)> = Vec::with_capacity(atoms.rels.len());
-        sources.extend(query.relations.iter().map(relation_content));
-        debug_assert_eq!(sources.len(), atoms.first_path_atom);
-        for (t, twig) in query.twigs.iter().enumerate() {
-            for path in decompose(twig).paths {
-                let content = path_fingerprint(twig, &path);
-                sources.push((AtomSource::TwigPath { twig: t, path }, content));
-            }
-        }
-        assert_eq!(
-            sources.len(),
-            atoms.rels.len(),
-            "atom sources must mirror collect_atoms"
-        );
-
         let mut prepared = Vec::with_capacity(atoms.rels.len());
-        for ((rel, name), (source, content)) in atoms.rels.iter().zip(&atoms.names).zip(sources) {
+        for ((rel, name), &source) in atoms.rels.iter().zip(&atoms.names).zip(&atoms.sources) {
             // The lowered relation's columns are the content's columns: the
             // stored schema for a plain or renamed atom, the distinct
             // variables for a selection, the path's nodes for a path.
             let schema = rel.rel().schema();
-            // Integrity of the source/atom pairing: a path source must carry
-            // exactly the schema of the relation it is paired with. Catches
-            // any future drift between `collect_atoms`' atom ordering and
-            // the reconstruction above before it can poison cache keys.
-            if let AtomSource::TwigPath { twig, path } = &source {
-                let vars: Vec<Attr> = path
-                    .nodes
-                    .iter()
-                    .map(|&q| query.twigs[*twig].node(q).var.clone())
-                    .collect();
-                assert_eq!(
-                    schema.attrs(),
-                    &vars[..],
-                    "atom sources drifted from collect_atoms ordering"
-                );
-            }
             let restricted = schema.restrict_order(&order).map_err(CoreError::from)?;
             let columns = restricted
                 .iter()
                 .map(|a| schema.require(a))
                 .collect::<relational::Result<Vec<usize>>>()
                 .map_err(CoreError::from)?;
+            let content = content(query, &atoms.decompositions, source);
             prepared.push(PreparedAtom {
                 display: name.clone(),
                 source,
@@ -199,7 +152,7 @@ impl PreparedQuery {
             options,
             order,
             atoms: prepared,
-            first_path_atom: atoms.first_path_atom,
+            decompositions: atoms.decompositions,
         })
     }
 
@@ -242,9 +195,12 @@ impl PreparedQuery {
         self.atoms
             .iter()
             .map(|a| {
-                let version = match &a.source {
-                    AtomSource::Relation(name) | AtomSource::Selection(name) => {
-                        self.rel_version(snapshot, name)?
+                let version = match a.source {
+                    AtomSource::Relation { atom } | AtomSource::Selection { atom } => {
+                        let name = &self.query.relations[atom].name;
+                        snapshot.relation_version(name).ok_or_else(|| {
+                            StoreError::Core(CoreError::UnknownRelation(name.clone()))
+                        })?
                     }
                     AtomSource::TwigPath { .. } => snapshot.doc_version(),
                 };
@@ -256,12 +212,6 @@ impl PreparedQuery {
                 })
             })
             .collect()
-    }
-
-    fn rel_version(&self, snapshot: &Snapshot, name: &str) -> Result<u64> {
-        snapshot
-            .relation_version(name)
-            .ok_or_else(|| StoreError::Core(CoreError::UnknownRelation(name.to_owned())))
     }
 
     /// Resolves a post-write miss on a plain or renamed relation atom
@@ -285,9 +235,6 @@ impl PreparedQuery {
         name: &str,
     ) -> Result<Option<ResolvedOverlay>> {
         let policy = snapshot.delta_policy();
-        if !policy.enabled {
-            return Ok(None);
-        }
         let registry = snapshot.registry();
         let Some((base_version, base)) = registry.find_base(key) else {
             return Ok(None);
@@ -339,7 +286,7 @@ impl PreparedQuery {
         let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(keys.len());
         let mut layers: Vec<Vec<Arc<Trie>>> = Vec::with_capacity(keys.len());
         let mut cost = PlanBuildCost::default();
-        for (i, (spec, key)) in self.atoms.iter().zip(&keys).enumerate() {
+        for (spec, key) in self.atoms.iter().zip(&keys) {
             match registry.lookup_cached(key) {
                 Some(crate::cache::CachedTrie::Solid(trie)) => {
                     tries.push(trie);
@@ -356,37 +303,26 @@ impl PreparedQuery {
             let build_start = Instant::now();
             let mut span = xjoin_obs::span("trie-build");
             span.set_attr(|| spec.display.clone());
-            match &spec.source {
-                AtomSource::Relation(name) => {
-                    if let Some((base, runs, built)) =
-                        self.overlay_for(snapshot, key, spec, name)?
-                    {
-                        cost.elapsed += build_start.elapsed();
-                        cost.tries_built += built;
-                        tries.push(base);
-                        layers.push(runs);
-                        continue;
-                    }
-                    let rel = ctx.db.relation(name).map_err(CoreError::from)?;
-                    tries.push(registry.get_or_build(key, || build_columns(rel, &spec.columns))?);
+            if let AtomSource::Relation { atom } = spec.source {
+                let name = &self.query.relations[atom].name;
+                if let Some((base, runs, built)) = self.overlay_for(snapshot, key, spec, name)? {
+                    cost.elapsed += build_start.elapsed();
+                    cost.tries_built += built;
+                    tries.push(base);
+                    layers.push(runs);
+                    continue;
                 }
-                AtomSource::Selection(_) => {
-                    // Resolution happens outside the build closure because it
-                    // can fail with a CoreError the closure's RelError result
-                    // cannot carry; a lost build race wastes one resolve.
-                    let atom = ctx.resolve_atom(&self.query.relations[i])?;
-                    tries
-                        .push(registry.get_or_build(key, || Trie::build(atom.rel(), &spec.order))?);
-                }
-                AtomSource::TwigPath { twig, path } => {
-                    // Materialised lazily inside the closure: if a concurrent
-                    // worker wins the build race, the document is not walked.
-                    tries.push(registry.get_or_build(key, || {
-                        let rel = path_relation(ctx.doc, ctx.index, &self.query.twigs[*twig], path);
-                        Trie::build(&rel, &spec.order)
-                    })?);
-                }
-            };
+            }
+            // Built inside the closure: if a concurrent worker wins the build
+            // race, no filtered copy is made and the document is not walked.
+            tries.push(registry.get_or_build(key, || {
+                Ok(spec.source.build_trie(
+                    &ctx,
+                    &self.query,
+                    &self.decompositions,
+                    &spec.columns,
+                )?)
+            })?);
             layers.push(Vec::new());
             cost.elapsed += build_start.elapsed();
             cost.tries_built += 1;
@@ -470,7 +406,7 @@ impl PreparedQuery {
             &self.options,
             &plan,
             atom_sizes,
-            self.first_path_atom,
+            self.query.relations.len(), // path atoms follow the relational ones
             deadline,
         )
         .map_err(|e| match e {
@@ -864,7 +800,6 @@ mod tests {
         // The base relation is tiny; keep the ratio out of the way so the
         // overlay survives instead of compacting immediately.
         store.set_delta_policy(DeltaPolicy {
-            enabled: true,
             compact_ratio: 10.0,
         });
         let q = bookstore_query();
@@ -903,7 +838,6 @@ mod tests {
         use crate::store::DeltaPolicy;
         let store = bookstore_store();
         store.set_delta_policy(DeltaPolicy {
-            enabled: true,
             compact_ratio: 10.0,
         });
         let q = bookstore_query();
@@ -945,7 +879,6 @@ mod tests {
         use crate::store::DeltaPolicy;
         let store = bookstore_store();
         store.set_delta_policy(DeltaPolicy {
-            enabled: true,
             compact_ratio: 0.4, // 2 rows base: one-row appends trigger at run 1
         });
         let q = bookstore_query();
@@ -967,13 +900,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_delta_policy_falls_back_to_full_rebuilds() {
-        use crate::store::DeltaPolicy;
+    fn rewrite_falls_back_to_a_full_rebuild() {
         let store = bookstore_store();
-        store.set_delta_policy(DeltaPolicy {
-            enabled: false,
-            ..Default::default()
-        });
         let q = bookstore_query();
         let prepared = PreparedQuery::prepare(
             &store.snapshot(),
@@ -982,9 +910,19 @@ mod tests {
         )
         .unwrap();
         prepared.execute(&store.snapshot()).unwrap();
-        store
-            .append("R", vec![vec![Value::Int(10963), Value::str("bob")]])
+        // A rewrite clears R's delta log, so no overlay can cover it.
+        store.update(|db| {
+            db.load(
+                "R",
+                Schema::of(&["orderID", "userID"]),
+                vec![
+                    vec![Value::Int(10963), Value::str("jack")],
+                    vec![Value::Int(20134), Value::str("tom")],
+                    vec![Value::Int(10963), Value::str("bob")],
+                ],
+            )
             .unwrap();
+        });
         let before = store.registry().stats();
         let out = prepared.execute(&store.snapshot()).unwrap();
         assert_eq!(out.results.len(), 3);

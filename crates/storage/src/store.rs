@@ -47,9 +47,6 @@ struct DeltaSeg {
 /// Knobs for delta-trie maintenance on [`VersionedStore::append`] writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeltaPolicy {
-    /// Whether query plans may overlay cached bases with delta runs at all.
-    /// Off, every post-write query rebuilds its tries from scratch.
-    pub enabled: bool,
     /// Compaction trigger: once an overlay's `delta_tuples / base_tuples`
     /// exceeds this ratio, the first query to notice merges it into a fresh
     /// solid trie ([`relational::DeltaTrie::needs_compaction`]).
@@ -59,7 +56,6 @@ pub struct DeltaPolicy {
 impl Default for DeltaPolicy {
     fn default() -> Self {
         DeltaPolicy {
-            enabled: true,
             compact_ratio: 0.25,
         }
     }
@@ -562,15 +558,15 @@ mod tests {
     #[test]
     fn delta_policy_is_snapshotted() {
         let s = store();
-        assert!(s.delta_policy().enabled);
+        assert_eq!(s.delta_policy(), DeltaPolicy::default());
         let old = s.snapshot();
-        s.set_delta_policy(DeltaPolicy {
-            enabled: false,
-            compact_ratio: 1.5,
-        });
-        assert!(old.delta_policy().enabled, "snapshots pin their policy");
+        s.set_delta_policy(DeltaPolicy { compact_ratio: 1.5 });
+        assert_eq!(
+            old.delta_policy(),
+            DeltaPolicy::default(),
+            "snapshots pin their policy"
+        );
         let new = s.snapshot();
-        assert!(!new.delta_policy().enabled);
         assert!((new.delta_policy().compact_ratio - 1.5).abs() < 1e-9);
     }
 

@@ -55,7 +55,6 @@ fn store() -> VersionedStore {
     let store = VersionedStore::new(db, doc);
     // Keep overlays layered however large the appends grow.
     store.set_delta_policy(DeltaPolicy {
-        enabled: true,
         compact_ratio: 100.0,
     });
     store
@@ -312,4 +311,52 @@ fn renamed_self_join_overlays_appends_instead_of_rebuilding() {
     assert_eq!(store.registry().stats().builds, builds, "no full rebuild");
     let rebuilt = execute(&snap.ctx(), &q, prepared.options()).unwrap();
     assert!(out.results.set_eq(&rebuilt.results));
+}
+
+#[test]
+fn one_statement_keys_every_kind_of_atom_as_before() {
+    // A plain atom, a renamed one, a constant, a repeated variable, a twig
+    // path, and a twig whose A-D edge is cut into two single-node paths,
+    // under an order that levels the two-column contents backwards. The
+    // literals pin every key string, so any drift in how an atom's source
+    // is derived shows here.
+    let store = store();
+    let snap = store.snapshot();
+    let mut q = MultiModelQuery::new(&["edge"], &["//a/b", "//r//a$z"]).unwrap();
+    q.relations.extend([
+        RelAtom::with_terms("edge", vec![var("a"), var("b")]),
+        RelAtom::with_terms("edge", vec![int(1), var("y")]),
+        RelAtom::with_terms("edge", vec![var("x"), var("x")]),
+    ]);
+    let opts = ExecOptions {
+        order: given(&["dst", "src", "b", "a", "y", "x", "z", "r"]),
+        ..ExecOptions::default()
+    };
+    let p = PreparedQuery::prepare(&snap, &q, opts.clone()).unwrap();
+    let keys = p.trie_keys(&snap).unwrap();
+    let sources: Vec<&str> = keys.iter().map(|k| k.source.as_str()).collect();
+    assert_eq!(
+        sources,
+        [
+            "rel:edge@1,0",
+            "rel:edge@1,0",
+            "atom:edge(Int(1),?0)@0",
+            "atom:edge(?0,?0)@0",
+            "path:/a/b@1,0",
+            "path:/r@0",
+            "path:/a@0",
+        ]
+    );
+    assert_eq!(
+        p.label(),
+        "edge, edge, edge, edge, twig0/path(a,b), twig1/path(r), twig1/path(z)"
+    );
+
+    let out = p.execute(&snap).unwrap();
+    let sizes: Vec<usize> = out.atom_sizes.iter().map(|(_, n)| *n).collect();
+    assert_eq!(sizes, [10, 10, 3, 3, 5, 1, 3]);
+    assert_eq!(out.results.len(), 1350);
+    let direct = execute(&snap.ctx(), &q, &opts).unwrap();
+    assert!(out.results.set_eq(&direct.results));
+    assert_eq!(out.atom_sizes, direct.atom_sizes);
 }
